@@ -23,8 +23,7 @@ The stable v1 graph API is three calls::
 """
 
 from .arch import (
-    AMPERE, ARCHITECTURES, HOPPER, VOLTA, Architecture, architecture,
-    register, registered,
+    AMPERE, HOPPER, VOLTA, Architecture, architecture, register, registered,
 )
 from .codegen import CudaGenerator, KernelSource
 from .frontend.builder import KernelBuilder
@@ -40,8 +39,8 @@ from .threads import ThreadGroup, blocks, threads, warp
 __version__ = "1.0.0"
 
 __all__ = [
-    "AMPERE", "ARCHITECTURES", "HOPPER", "VOLTA", "Architecture",
-    "architecture", "register", "registered",
+    "AMPERE", "HOPPER", "VOLTA", "Architecture", "architecture",
+    "register", "registered",
     "CudaGenerator", "KernelSource", "KernelBuilder",
     "Layout", "Network", "network", "Swizzle", "col_major", "row_major",
     "KernelProfile", "Machine", "RunResult", "SimulationError",

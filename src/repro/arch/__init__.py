@@ -8,55 +8,13 @@ Architectures live in a capability-declaring registry: modules call
 new GPU generation is a registration, not a grep.
 """
 
-import warnings as _warnings
-
-try:
-    from collections.abc import Mapping as _Mapping
-except ImportError:  # pragma: no cover
-    from collections import Mapping as _Mapping
-
 from .ampere import AMPERE
 from .gpu import Architecture, architecture, register, registered
 from .hopper import HOPPER
 from .volta import VOLTA
 
 
-class _DeprecatedArchView(_Mapping):
-    """Read-only ``{"volta": ..., "ampere": ...}`` compatibility view.
-
-    Importing it is silent; *using* it warns once per access pattern so
-    stragglers learn to migrate to :func:`architecture` /
-    :func:`registered` without breaking.
-    """
-
-    def _warn(self):
-        _warnings.warn(
-            "repro.arch.ARCHITECTURES is deprecated; look architectures "
-            "up with repro.arch.architecture(name) and enumerate them "
-            "with repro.arch.registered()",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def __getitem__(self, key):
-        self._warn()
-        return architecture(key)
-
-    def __iter__(self):
-        self._warn()
-        return iter(registered())
-
-    def __len__(self):
-        self._warn()
-        return len(registered())
-
-    def __repr__(self):
-        return f"ARCHITECTURES(deprecated view of {list(registered())})"
-
-
-ARCHITECTURES = _DeprecatedArchView()
-
 __all__ = [
-    "AMPERE", "HOPPER", "VOLTA", "Architecture", "ARCHITECTURES",
-    "architecture", "register", "registered",
+    "AMPERE", "HOPPER", "VOLTA", "Architecture", "architecture",
+    "register", "registered",
 ]

@@ -13,8 +13,6 @@ One subcommand per evaluation mode, sharing ``--out-dir``/``--arch``/
     python -m repro.eval tuner-bench            # tune-all fleet benchmark
 
 ``python -m repro.eval <command> --help`` documents each subcommand.
-The pre-subcommand spellings (bare figure names, ``--outdir``) keep
-working with a deprecation note.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ def _common_parser(out_dir: bool = False) -> argparse.ArgumentParser:
                         help="RNG seed for generated problem data")
     if out_dir:
         common.add_argument(
-            "--out-dir", "--outdir", dest="out_dir",
+            "--out-dir", dest="out_dir",
             default="bench_artifacts", metavar="DIR",
             help="artifact output directory (default: bench_artifacts)",
         )
@@ -44,7 +42,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.eval",
         description="Regenerate the paper's evaluation.",
     )
-    sub = parser.add_subparsers(dest="command", metavar="command")
+    sub = parser.add_subparsers(dest="command", metavar="command",
+                                required=True)
     plain, with_out = _common_parser(), _common_parser(out_dir=True)
 
     p = sub.add_parser("figures", parents=[plain],
@@ -225,25 +224,8 @@ _COMMANDS = {
 }
 
 
-def _upgrade_legacy_argv(argv):
-    """Map pre-subcommand invocations onto the subcommand tree.
-
-    ``python -m repro.eval`` and ``python -m repro.eval fig11 fig15``
-    predate the argparse tree; they keep working (as ``figures``) with
-    a deprecation note.
-    """
-    if not argv:
-        return ["figures"]
-    if argv[0] in _COMMANDS or argv[0] in ("-h", "--help"):
-        return list(argv)
-    print("note: bare figure names are deprecated; use "
-          f"'python -m repro.eval figures {' '.join(argv)}'",
-          file=sys.stderr)
-    return ["figures"] + list(argv)
-
-
 def main(argv) -> int:
-    args = build_parser().parse_args(_upgrade_legacy_argv(argv))
+    args = build_parser().parse_args(argv)
     return _COMMANDS[args.command](args)
 
 

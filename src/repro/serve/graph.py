@@ -23,7 +23,7 @@ graph can travel to a worker process and serve there.
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from ..sim.profiler import Profiler
 from ..sim.sanitizer import Sanitizer
 from ..sim.trace import record_trace
 from ..tensor.memspace import GL
-from .pool import shard_ranges
 
 
 class GraphKey:
@@ -277,48 +276,6 @@ class CapturedGraph:
 
     def outputs(self) -> Dict[str, np.ndarray]:
         """Copies of the written parameters' current slot contents."""
-        return self._copy_out()
-
-    def replay_sharded(self, bindings: Dict[str, np.ndarray],
-                       executor, nshards: int) -> Dict[str, np.ndarray]:
-        """Replay with grid blocks sharded across an executor's workers.
-
-        Blocks are independent, so each shard runs a disjoint block
-        range on its own :class:`Machine` sharing this graph's global
-        slot arrays (numpy releases the GIL inside the batched
-        gathers/scatters, so shards genuinely overlap).  Observers are
-        order-sensitive and unsupported here; bank-model counters are
-        commutative sums and are merged back, so they match an
-        unsharded replay exactly.  Returns the output copies.
-        """
-        if self.options.sanitize or self.options.profile:
-            raise SimulationError(
-                "sharded replay cannot run with sanitizer/profiler "
-                "attached: observers require in-order block execution"
-            )
-        nshards = max(1, min(int(nshards), self.grid_size))
-        if nshards == 1:
-            self.replay(bindings)
-            return self._copy_out()
-        self._copy_in(bindings)
-        self._reset_machine()
-        shards = shard_ranges(self.grid_size, nshards)
-
-        def run_shard(blocks):
-            machine = Machine()
-            machine._global = self.machine._global  # shared slot storage
-            machine._declared = self.machine._declared
-            self.plan.replay(machine, self.symbols, None, None,
-                             blocks=blocks)
-            return machine.bank_model
-
-        banks = list(executor.map(run_shard, shards))
-        merged = self.machine.bank_model
-        for bm in banks:
-            merged.accesses += bm.accesses
-            merged.transactions += bm.transactions
-            merged.worst_degree = max(merged.worst_degree, bm.worst_degree)
-        self.replay_count += 1
         return self._copy_out()
 
     # -- pickling --------------------------------------------------------------

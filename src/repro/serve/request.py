@@ -41,8 +41,6 @@ class ServeResult:
     graph_hit: bool
     #: Number of requests coalesced into the batch this one rode in.
     batch_size: int = 1
-    #: Block-shard count used for the replay (1 = unsharded).
-    shards: int = 1
     #: Optional profiler output (when the server runs with profiling).
     profile: Optional[object] = None
 

@@ -15,9 +15,6 @@ The serving loop mirrors a batching inference server:
   graph's lock.  Different signatures replay in parallel; numpy
   releases the GIL inside the batched gathers/scatters, so worker
   threads genuinely overlap.
-* Grids at or above ``shard_min_blocks`` replay block-sharded across a
-  dedicated shard pool (separate from the batch pool, so a saturated
-  batch pool cannot deadlock waiting on its own workers).
 """
 
 from __future__ import annotations
@@ -30,7 +27,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from ..sim.errors import SimulationError
 from ..sim.options import RunOptions, resolve_run_options
 from .cache import DEFAULT_BUDGET_BYTES, GraphCache
 from .graph import CapturedGraph, GraphKey, graph_key
@@ -58,8 +54,6 @@ class KernelServer:
         families: Iterable = (),
         *,
         max_workers: int = 4,
-        shard_workers: int = 0,
-        shard_min_blocks: int = 64,
         budget_bytes: int = DEFAULT_BUDGET_BYTES,
         batch_window_s: float = 0.002,
         max_batch: int = 32,
@@ -70,7 +64,6 @@ class KernelServer:
         self.metrics = ServerMetrics()
         self.batch_window_s = batch_window_s
         self.max_batch = max_batch
-        self.shard_min_blocks = shard_min_blocks
         self._families: Dict[str, _Family] = {}
         for fam in families:
             self.register(fam.name, fam.kernel, fam.arch,
@@ -82,11 +75,6 @@ class KernelServer:
         self._locks_guard = threading.Lock()
         self._pool = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="serve-batch")
-        self._shard_pool = (
-            ThreadPoolExecutor(max_workers=shard_workers,
-                               thread_name_prefix="serve-shard")
-            if shard_workers > 1 else None
-        )
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="serve-dispatch", daemon=True)
         self._dispatcher.start()
@@ -196,26 +184,12 @@ class KernelServer:
                 self.metrics.on_failure()
                 future.set_exception(exc)
             return
-        shards = 1
-        if (self._shard_pool is not None
-                and graph.trace is None
-                and graph.grid_size >= self.shard_min_blocks
-                and not (self.options.sanitize or self.options.profile)):
-            # A traced graph replays faster single-threaded than the
-            # plan engine does sharded; shard only untraceable plans.
-            shards = self._shard_pool._max_workers
         with self._graph_lock(key):
             for request, future in group:
                 started = time.perf_counter()
                 try:
-                    if shards > 1:
-                        outputs = graph.replay_sharded(
-                            request.bindings, self._shard_pool, shards)
-                        profile = None
-                    else:
-                        run = graph.replay(request.bindings)
-                        outputs = graph.outputs()
-                        profile = run.profile
+                    run = graph.replay(request.bindings)
+                    outputs = graph.outputs()
                 except Exception as exc:
                     self.metrics.on_failure()
                     future.set_exception(exc)
@@ -233,8 +207,7 @@ class KernelServer:
                     replay_s=replay_s,
                     graph_hit=was_hit,
                     batch_size=len(group),
-                    shards=shards,
-                    profile=profile,
+                    profile=run.profile,
                 ))
                 # Later requests in the batch always hit the now-warm graph.
                 was_hit = True
@@ -263,8 +236,6 @@ class KernelServer:
             self._cond.notify_all()
         self._dispatcher.join()
         self._pool.shutdown(wait=True)
-        if self._shard_pool is not None:
-            self._shard_pool.shutdown(wait=True)
 
     def __enter__(self) -> "KernelServer":
         return self

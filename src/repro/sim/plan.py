@@ -39,7 +39,7 @@ import pickle
 import sys
 import threading
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -1211,16 +1211,9 @@ class LaunchPlan:
         return _SpecNode(_SpecPlan(spec, self))
 
     # -- replay ----------------------------------------------------------------
-    def replay(self, machine, symbols, sanitizer, profiler,
-               blocks: Optional[Sequence[int]] = None) -> None:
-        """Run the plan over the grid (or a subset of its blocks).
-
-        ``blocks`` selects which block ids to execute; blocks are
-        independent, so a caller may shard the grid across machines
-        sharing the same global arrays.  Observers (sanitizer/profiler)
-        are order-sensitive and only valid for a full in-order replay.
-        """
-        for bid in (range(self.grid_size) if blocks is None else blocks):
+    def replay(self, machine, symbols, sanitizer, profiler) -> None:
+        """Run the plan over the grid, one block after another."""
+        for bid in range(self.grid_size):
             if sanitizer is not None:
                 sanitizer.begin_block(bid)
             if profiler is not None:

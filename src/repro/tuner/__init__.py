@@ -128,9 +128,10 @@ def tune(
     ``False`` (no persistence).  ``force=True`` re-tunes even on a
     cache hit.  ``search`` is ``"beam"`` (default) or ``"exhaustive"``.
 
-    ``workers > 1`` shards candidate evaluation and the correctness
-    gate across a process fleet (:mod:`repro.tuner.fleet`) — the
-    leaderboard and verdicts are bit-identical to the serial path.
+    ``workers`` sizes the :class:`~repro.tuner.fleet.FleetEvaluator`
+    that runs candidate evaluation and the correctness gate: one worker
+    stays in-process, more shard both across a process pool — the
+    leaderboard and verdicts are bit-identical either way.
     ``transfer=True`` consults the cache's nearest neighbouring shapes
     (:meth:`TuningCache.nearest_entries`) and, when any exist, runs a
     seed-only search (``beam=0``) expanding just the transferred
@@ -171,25 +172,21 @@ def tune(
                 except (KeyError, TypeError, ValueError):
                     continue  # stale entry from an older space revision
 
-        from .fleet import FleetEvaluator, run_gate_fleet
+        # Imported here so that importing repro does not load
+        # multiprocessing for programs that never tune.
+        from .fleet import FleetEvaluator
 
-        def finish(result, transferred, via_gate_fleet, evaluator):
+        def finish(result, transferred):
             if not result.ranked:
                 raise TuningError(
                     f"the {space.family} space is empty for shape {shape} "
                     f"on {architecture.name} ({result.total_candidates} raw "
                     f"candidates, {len(result.skipped)} skipped)"
                 )
-            if via_gate_fleet:
-                winner_rc, gate_results = run_gate_fleet(
-                    space, architecture, result.ranked, shape, top_k=top_k,
-                    seed=seed, evaluator=evaluator,
-                )
-            else:
-                winner_rc, gate_results = run_gate(
-                    space, architecture, result.ranked, shape, top_k=top_k,
-                    seed=seed,
-                )
+            winner_rc, gate_results = run_gate(
+                space, architecture, result.ranked, shape, top_k=top_k,
+                seed=seed, evaluator=fleet,
+            )
             if cache_obj is not None:
                 cache_obj.put(key, {
                     "family": space.family,
@@ -221,16 +218,14 @@ def tune(
                 seeded_from=list(result.seeded_from),
             )
 
-        parallel = workers > 1
-        with FleetEvaluator(workers) if parallel else _null_context() \
-                as fleet:
+        with FleetEvaluator(workers) as fleet:
             if seeds:
                 try:
                     result = beam_search(
                         space, shape, architecture, beam=0, oracle=oracle,
                         evaluator=fleet, seeds=seeds,
                     )
-                    return finish(result, True, parallel, fleet)
+                    return finish(result, True)
                 except (ValueError, GateError):
                     # No seed group legal here, or every transferred
                     # expansion failed verification: cold-search.
@@ -246,20 +241,10 @@ def tune(
                     f"unknown search driver {search!r}; use 'beam' or "
                     f"'exhaustive'"
                 )
-            return finish(result, False, parallel, fleet)
+            return finish(result, False)
     finally:
         if owns_cache:
             cache_obj.close()
-
-
-class _null_context:
-    """Stands in for a fleet when tuning runs serially."""
-
-    def __enter__(self):
-        return None
-
-    def __exit__(self, exc_type, exc, tb):
-        return None
 
 
 __all__ = [

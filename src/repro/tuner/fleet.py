@@ -3,13 +3,13 @@
 The search drivers in :mod:`repro.tuner.search` funnel every kernel
 build + costing through a batch evaluator; this module provides one
 backed by a ``ProcessPoolExecutor``.  A candidate batch is split into
-balanced contiguous shards (:func:`repro.serve.pool.shard_sequence`),
-each worker evaluates its shard with the ordinary serial evaluator, and
-the per-shard outcome lists are concatenated in shard order — restoring
+balanced contiguous shards (:func:`shard_sequence`), each worker
+evaluates its shard with the ordinary serial evaluator, and the
+per-shard outcome lists are concatenated in shard order — restoring
 exactly the serial outcome order.  Because the drivers' control flow
 never depends on *who* evaluated a batch, the fleet leaderboards are
 bit-identical to the serial ones (pinned by
-``tests/tuner/test_fleet.py`` across all ten kernel families).
+``tests/tuner/test_fleet.py`` across all twelve kernel families).
 
 Everything that crosses the process boundary pickles through
 :mod:`repro.pickling`: config spaces and candidates are plain data,
@@ -18,29 +18,43 @@ be module-level functions or picklable callables (both the default
 roofline oracle and the calibrated
 :class:`~repro.perfmodel.calibrate.FittedOracle` qualify).
 
-The correctness gate has a fleet counterpart too:
-:func:`run_gate_fleet` executes the top-k simulator verifications
-concurrently while preserving the serial gate's verdict list and
-winner choice exactly.
+The correctness gate batches through the same pool:
+:func:`repro.tuner.verify.run_gate` hands each batch to
+:meth:`FleetEvaluator.check_batch`, which verifies it concurrently
+while preserving the serial gate's verdict list and winner choice
+exactly.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, TypeVar
 
 import multiprocessing
 
 from ..arch.gpu import Architecture
-from ..serve.pool import shard_sequence
 from ..sim import RunOptions
-from .search import (
-    EvalOutcome, Oracle, RankedCandidate, SearchResult, beam_search,
-    exhaustive_search, perfmodel_oracle, serial_evaluator,
-)
+from .search import EvalOutcome, Oracle, perfmodel_oracle, serial_evaluator
 from .space import Candidate, ConfigSpace
-from .verify import GateError, GateResult, check_candidate
+from .verify import GateResult, check_candidate
+
+T = TypeVar("T")
+
+
+def shard_sequence(items: Sequence[T], nshards: int) -> List[List[T]]:
+    """Split ``items`` into balanced contiguous chunks, order preserved.
+
+    Chunk sizes differ by at most one (the first ``len(items) %
+    nshards`` chunks are one longer) and ``nshards`` is clamped to
+    ``[1, len(items)]``, so no chunk is empty; concatenating the chunks
+    in order restores ``items``.
+    """
+    nshards = max(1, min(nshards, len(items)))
+    base, extra = divmod(len(items), nshards)
+    bounds = [i * base + min(i, extra) for i in range(nshards + 1)]
+    return [list(items[lo:hi]) for lo, hi in zip(bounds, bounds[1:])
+            if hi > lo]
 
 
 def default_workers() -> int:
@@ -49,8 +63,8 @@ def default_workers() -> int:
 
 
 def _evaluate_shard(
-    space: ConfigSpace,
     candidates: Sequence[Candidate],
+    space: ConfigSpace,
     shape: Dict[str, int],
     arch: Architecture,
     oracle: Optional[Oracle],
@@ -61,9 +75,9 @@ def _evaluate_shard(
 
 
 def _check_shard(
+    candidates: Sequence[Candidate],
     space: ConfigSpace,
     arch: Architecture,
-    candidates: Sequence[Candidate],
     shape: Dict[str, int],
     seed: int,
     options: Optional[RunOptions],
@@ -113,6 +127,15 @@ class FleetEvaluator:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
+    def _map_shards(self, fn, candidates: Sequence[Candidate], *args) -> list:
+        """``fn(shard, *args)`` over balanced shards, results in input order."""
+        if self.workers == 1 or len(candidates) <= 1:
+            return fn(candidates, *args)
+        pool = self._executor()
+        futures = [pool.submit(fn, shard, *args)
+                   for shard in shard_sequence(candidates, self.workers)]
+        return [item for future in futures for item in future.result()]
+
     # -- Evaluator protocol -------------------------------------------------
     def __call__(
         self,
@@ -122,18 +145,8 @@ class FleetEvaluator:
         arch: Architecture,
         oracle: Oracle,
     ) -> List[EvalOutcome]:
-        if self.workers == 1 or len(candidates) <= 1:
-            return serial_evaluator(space, candidates, shape, arch, oracle)
-        shards = shard_sequence(list(candidates), self.workers)
-        pool = self._executor()
-        futures = [
-            pool.submit(_evaluate_shard, space, shard, shape, arch, oracle)
-            for shard in shards
-        ]
-        outcomes: List[EvalOutcome] = []
-        for future in futures:
-            outcomes.extend(future.result())
-        return outcomes
+        return self._map_shards(_evaluate_shard, candidates, space, shape,
+                                arch, oracle)
 
     # -- parallel correctness gate ------------------------------------------
     def check_batch(
@@ -146,123 +159,8 @@ class FleetEvaluator:
         options: Optional[RunOptions] = None,
     ) -> List[GateResult]:
         """Gate a candidate batch concurrently, results in input order."""
-        if self.workers == 1 or len(candidates) <= 1:
-            return _check_shard(space, arch, candidates, shape, seed, options)
-        shards = shard_sequence(list(candidates), self.workers)
-        pool = self._executor()
-        futures = [
-            pool.submit(_check_shard, space, arch, shard, shape, seed,
-                        options)
-            for shard in shards
-        ]
-        results: List[GateResult] = []
-        for future in futures:
-            results.extend(future.result())
-        return results
+        return self._map_shards(_check_shard, candidates, space, arch, shape,
+                                seed, options)
 
 
-def parallel_exhaustive_search(
-    space: ConfigSpace,
-    shape: Dict[str, int],
-    arch: Architecture,
-    oracle: Optional[Oracle] = None,
-    evaluator: Optional[FleetEvaluator] = None,
-    workers: Optional[int] = None,
-) -> SearchResult:
-    """Fleet-sharded :func:`repro.tuner.search.exhaustive_search`."""
-    with _maybe_owned(evaluator, workers) as fleet:
-        return exhaustive_search(space, shape, arch, oracle=oracle,
-                                 evaluator=fleet)
-
-
-def parallel_beam_search(
-    space: ConfigSpace,
-    shape: Dict[str, int],
-    arch: Architecture,
-    beam: int = 6,
-    oracle: Optional[Oracle] = None,
-    evaluator: Optional[FleetEvaluator] = None,
-    workers: Optional[int] = None,
-    seeds: Optional[Sequence[Candidate]] = None,
-) -> SearchResult:
-    """Fleet-sharded :func:`repro.tuner.search.beam_search`."""
-    with _maybe_owned(evaluator, workers) as fleet:
-        return beam_search(space, shape, arch, beam=beam, oracle=oracle,
-                           evaluator=fleet, seeds=seeds)
-
-
-class _maybe_owned:
-    """Context: use the caller's evaluator, or own a temporary one."""
-
-    def __init__(self, evaluator: Optional[FleetEvaluator],
-                 workers: Optional[int]):
-        self._borrowed = evaluator
-        self._owned: Optional[FleetEvaluator] = None
-
-        self._workers = workers
-
-    def __enter__(self) -> FleetEvaluator:
-        if self._borrowed is not None:
-            return self._borrowed
-        self._owned = FleetEvaluator(self._workers)
-        return self._owned
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self._owned is not None:
-            self._owned.close()
-
-
-def run_gate_fleet(
-    space: ConfigSpace,
-    arch: Architecture,
-    ranked: List[RankedCandidate],
-    shape: Dict[str, int],
-    top_k: int = 3,
-    seed: int = 0,
-    options: Optional[RunOptions] = None,
-    evaluator: Optional[FleetEvaluator] = None,
-    workers: Optional[int] = None,
-) -> Tuple[RankedCandidate, List[GateResult]]:
-    """Concurrent :func:`repro.tuner.verify.run_gate` — same verdicts.
-
-    The serial gate executes the top-k unconditionally (their verdicts
-    make the report) and then descends one candidate at a time until
-    something passes.  The fleet gates the top-k as one concurrent
-    batch; below the top-k it proceeds in worker-sized batches but
-    truncates each at the first passer, so the returned verdict list —
-    and therefore the winner — matches the serial gate exactly.
-    """
-    with _maybe_owned(evaluator, workers) as fleet:
-        head = [rc.candidate for rc in ranked[:top_k]]
-        results = fleet.check_batch(space, arch, head, shape, seed, options)
-        winner: Optional[RankedCandidate] = None
-        for rc, result in zip(ranked, results):
-            if result.passed and winner is None:
-                winner = rc
-        position = len(head)
-        while winner is None and position < len(ranked):
-            batch = ranked[position:position + fleet.workers]
-            verdicts = fleet.check_batch(
-                space, arch, [rc.candidate for rc in batch], shape, seed,
-                options)
-            for rc, result in zip(batch, verdicts):
-                results.append(result)
-                if result.passed:
-                    winner = rc
-                    break
-            position += len(batch)
-    if winner is None:
-        failures = "; ".join(
-            f"{r.candidate.label} ({r.detail})" for r in results[:5]
-        )
-        raise GateError(
-            f"no {space.family} candidate passed simulator verification "
-            f"out of {len(results)} tried: {failures}"
-        )
-    return winner, results
-
-
-__all__ = [
-    "FleetEvaluator", "default_workers", "parallel_beam_search",
-    "parallel_exhaustive_search", "run_gate_fleet",
-]
+__all__ = ["FleetEvaluator", "default_workers", "shard_sequence"]

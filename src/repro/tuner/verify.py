@@ -114,24 +114,43 @@ def run_gate(
     top_k: int = 3,
     seed: int = 0,
     options: Optional[RunOptions] = None,
+    evaluator: Optional["FleetEvaluator"] = None,
 ) -> Tuple[RankedCandidate, List[GateResult]]:
     """Verify the leaderboard's top-k; return the best passing config.
 
-    The first ``top_k`` candidates are all executed (their verdicts make
-    the leaderboard report); if every one of them fails, the gate keeps
-    descending the ranking until something passes.  Raises
+    The first ``top_k`` candidates are all executed as one batch (their
+    verdicts make the leaderboard report); if every one of them fails,
+    the gate keeps descending the ranking in batches of the evaluator's
+    width, truncating each at the first passer.  Without an
+    ``evaluator`` (or with a one-worker
+    :class:`~repro.tuner.fleet.FleetEvaluator`) the batches run
+    in-process one candidate at a time; wider fleets check each batch
+    concurrently and return the same verdict list and winner.  Raises
     :class:`GateError` when the whole ranking is numerically wrong.
     """
-    results: List[GateResult] = []
-    winner: Optional[RankedCandidate] = None
-    for i, rc in enumerate(ranked):
-        if i >= top_k and winner is not None:
-            break
-        result = check_candidate(space, arch, rc.candidate, shape, seed,
-                                 options=options)
-        results.append(result)
-        if result.passed and winner is None:
-            winner = rc
+    width = 1 if evaluator is None else evaluator.workers
+
+    def check(batch: List[RankedCandidate]) -> List[GateResult]:
+        candidates = [rc.candidate for rc in batch]
+        if width > 1:
+            return evaluator.check_batch(space, arch, candidates, shape,
+                                         seed, options)
+        # Looked up in this module per call: tracing counts gate calls
+        # by patching ``repro.tuner.verify.check_candidate``.
+        return [check_candidate(space, arch, c, shape, seed, options=options)
+                for c in candidates]
+
+    results = check(ranked[:top_k])
+    winner = next((rc for rc, r in zip(ranked, results) if r.passed), None)
+    position = len(results)
+    while winner is None and position < len(ranked):
+        batch = ranked[position:position + width]
+        for rc, result in zip(batch, check(batch)):
+            results.append(result)
+            if result.passed:
+                winner = rc
+                break
+        position += len(batch)
     if winner is None:
         failures = "; ".join(
             f"{r.candidate.label} ({r.detail})" for r in results[:5]

@@ -1,4 +1,4 @@
-"""CapturedGraph contract tests: bit-identity, pickling, sharding.
+"""CapturedGraph contract tests: bit-identity, pickling, binding checks.
 
 The heavyweight equivalence sweep walks every conformance-case family,
 so this module carries the ``serve`` marker but most of it is also fast
@@ -6,7 +6,6 @@ enough for the default tier.
 """
 
 import pickle
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -88,24 +87,6 @@ def test_graph_pickle_round_trip_replays_identically():
     for out in graph.output_params:
         np.testing.assert_array_equal(
             graph.outputs()[out], restored.outputs()[out])
-
-
-def test_sharded_replay_matches_unsharded():
-    case = _case("fmha")
-    graph = CapturedGraph.capture(case.kernel, case.arch, case.symbols,
-                                  _copies(case.arrays))
-    bindings = _copies(case.arrays)
-    graph.replay(bindings)
-    expected = graph.outputs()
-    bank = graph.machine.bank_model
-    expected_bank = (bank.accesses, bank.transactions, bank.worst_degree)
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        sharded = graph.replay_sharded(bindings, pool, 4)
-    for out in graph.output_params:
-        np.testing.assert_array_equal(sharded[out], expected[out])
-    bank = graph.machine.bank_model
-    assert (bank.accesses, bank.transactions,
-            bank.worst_degree) == expected_bank
 
 
 def test_copy_in_validates_bindings():

@@ -61,22 +61,6 @@ class TestNoDeprecationWarnings:
 class TestArchRegistrySurface:
     """The capability-registry redesign: names stay inside repro.arch."""
 
-    def test_architectures_view_is_deprecated(self):
-        from repro.arch import ARCHITECTURES, architecture
-
-        with pytest.deprecated_call():
-            assert ARCHITECTURES["hopper"] is architecture("hopper")
-        with pytest.deprecated_call():
-            len(ARCHITECTURES)
-
-    def test_architectures_view_is_read_only(self):
-        from repro.arch import ARCHITECTURES
-
-        with pytest.raises(TypeError):
-            ARCHITECTURES["pascal"] = object()
-        with pytest.raises(TypeError):
-            del ARCHITECTURES["ampere"]
-
     def test_no_arch_name_comparisons_outside_repro_arch(self):
         """Feature dispatch goes through ``arch.supports(...)``.
 

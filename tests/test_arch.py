@@ -2,9 +2,7 @@
 
 import pytest
 
-from repro.arch import (
-    AMPERE, ARCHITECTURES, HOPPER, VOLTA, architecture, registered,
-)
+from repro.arch import AMPERE, HOPPER, VOLTA, architecture, registered
 
 
 class TestRegistry:
@@ -29,18 +27,6 @@ class TestRegistry:
     def test_unknown_raises_keyerror(self):
         with pytest.raises(KeyError):
             architecture("kepler")
-
-    def test_deprecated_view_still_serves(self):
-        with pytest.deprecated_call():
-            assert ARCHITECTURES["volta"] is VOLTA
-        with pytest.deprecated_call():
-            assert ARCHITECTURES["ampere"] is AMPERE
-        with pytest.deprecated_call():
-            assert set(ARCHITECTURES) >= {"volta", "ampere", "hopper"}
-
-    def test_deprecated_view_is_read_only(self):
-        with pytest.raises(TypeError):
-            ARCHITECTURES["turing"] = AMPERE
 
 
 class TestArchitectures:

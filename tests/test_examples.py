@@ -24,7 +24,7 @@ def test_example_runs(script, capsys):
 
 def test_eval_cli_runs():
     result = subprocess.run(
-        [sys.executable, "-m", "repro.eval", "fig13"],
+        [sys.executable, "-m", "repro.eval", "figures", "fig13"],
         capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr[-2000:]

@@ -1,26 +1,20 @@
 """Fleet differential: the process pool must change nothing but speed.
 
 The contract under test is *bit-identity*: for every kernel family, the
-sharded :class:`~repro.tuner.fleet.FleetEvaluator` and the concurrent
-:func:`~repro.tuner.fleet.run_gate_fleet` must reproduce the serial
-leaderboards, verdict lists and winners exactly — same labels, same
-scores, same accounting, same error messages.
+search drivers and :func:`~repro.tuner.verify.run_gate` driven by a
+two-worker :class:`~repro.tuner.fleet.FleetEvaluator` must reproduce the
+serial leaderboards, verdict lists and winners exactly — same labels,
+same scores, same accounting, same error messages.
 """
 
 import numpy as np
 import pytest
 
-from repro.serve.pool import shard_ranges, shard_sequence
 from repro.tuner import SPACES, get_space, resolve_arch
 from repro.tuner.families import SoftmaxSpace
-from repro.tuner.fleet import (
-    FleetEvaluator, parallel_beam_search, parallel_exhaustive_search,
-    run_gate_fleet,
-)
+from repro.tuner.fleet import FleetEvaluator, shard_sequence
 from repro.tuner.search import beam_search, exhaustive_search
 from repro.tuner.verify import GateError, run_gate
-
-from .conftest import tiny_gemm_space
 
 pytestmark = pytest.mark.tuner
 
@@ -67,12 +61,13 @@ class TestSharding:
     def test_ranges_cover_in_order(self):
         for total in (0, 1, 5, 16, 17, 100):
             for nshards in (1, 2, 3, 7, 200):
-                shards = shard_ranges(total, nshards)
+                shards = shard_sequence(range(total), nshards)
+                assert all(shards), "no shard may be empty"
                 flat = [i for r in shards for i in r]
                 assert flat == list(range(total))
 
     def test_ranges_balanced(self):
-        shards = shard_ranges(10, 3)
+        shards = shard_sequence(range(10), 3)
         sizes = [len(r) for r in shards]
         assert max(sizes) - min(sizes) <= 1
 
@@ -84,7 +79,7 @@ class TestSharding:
 
 
 class TestLeaderboardIdentity:
-    """Satellite: fleet == serial across all ten kernel families."""
+    """Fleet == serial across every registered kernel family."""
 
     def test_covers_every_registered_family(self):
         assert set(FAMILY_SHAPES) == set(SPACES)
@@ -105,14 +100,19 @@ class TestLeaderboardIdentity:
         arch = _arch_for(family)
         shape = space.validate_shape(FAMILY_SHAPES[family])
         serial = beam_search(space, shape, arch, beam=2)
-        sharded = parallel_beam_search(space, shape, arch, beam=2, workers=2)
+        with FleetEvaluator(workers=2) as fleet:
+            sharded = beam_search(space, shape, arch, beam=2,
+                                  evaluator=fleet)
         assert _board(sharded) == _board(serial)
 
     def test_wrapper_owns_and_releases_pool(self, tiny_space):
         shape = {"m": 256, "n": 256, "k": 128}
         serial = exhaustive_search(tiny_space, shape, ARCH)
-        sharded = parallel_exhaustive_search(tiny_space, shape, ARCH,
-                                             workers=2)
+        with FleetEvaluator(workers=2) as fleet:
+            sharded = exhaustive_search(tiny_space, shape, ARCH,
+                                        evaluator=fleet)
+            assert fleet._pool is not None
+        assert fleet._pool is None
         assert _board(sharded) == _board(serial)
 
     def test_workers_one_never_builds_a_pool(self, tiny_space):
@@ -129,8 +129,9 @@ class TestGateIdentity:
         shape = space.validate_shape(FAMILY_SHAPES[family])
         ranked = exhaustive_search(space, shape, ARCH).ranked
         winner_s, results_s = run_gate(space, ARCH, ranked, shape, top_k=3)
-        winner_f, results_f = run_gate_fleet(space, ARCH, ranked, shape,
-                                             top_k=3, workers=2)
+        with FleetEvaluator(workers=2) as fleet:
+            winner_f, results_f = run_gate(space, ARCH, ranked, shape,
+                                           top_k=3, evaluator=fleet)
         assert winner_f.label == winner_s.label
         assert ([(r.candidate.label, r.passed, r.detail)
                  for r in results_f]
@@ -143,8 +144,9 @@ class TestGateIdentity:
         ranked = exhaustive_search(space, shape, ARCH).ranked
         with pytest.raises(GateError) as serial_err:
             run_gate(space, ARCH, ranked, shape, top_k=2)
-        with pytest.raises(GateError) as fleet_err:
-            run_gate_fleet(space, ARCH, ranked, shape, top_k=2, workers=2)
+        with FleetEvaluator(workers=2) as fleet, \
+                pytest.raises(GateError) as fleet_err:
+            run_gate(space, ARCH, ranked, shape, top_k=2, evaluator=fleet)
         assert str(fleet_err.value) == str(serial_err.value)
 
 

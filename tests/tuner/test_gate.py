@@ -9,7 +9,8 @@ executing it in ``repro.sim`` against the numpy reference exposes it.
 import pytest
 
 from repro.arch import AMPERE
-from repro.tuner import tune
+from repro.tuner import tune, verify
+from repro.tuner.fleet import FleetEvaluator
 from repro.tuner.search import exhaustive_search
 from repro.tuner.space import Candidate, GemmSpace
 from repro.tuner.verify import GateError, check_candidate, run_gate
@@ -29,7 +30,7 @@ class RiggedGemmSpace(GemmSpace):
 
     def __init__(self):
         super().__init__(block_tiles=[(64, 64, 32)], warp_grids=[(2, 2)],
-                         swizzles=(True,), stage_counts=(1,))
+                         swizzles=(True, False), stage_counts=(1,))
 
     def candidates(self, shape, arch):
         yield Candidate(self.family, block_tile=(64, 64, 32),
@@ -52,14 +53,28 @@ class TestWrongCandidateScenario:
             "model for this scenario to mean anything"
         )
 
-    def test_gate_rejects_it_and_picks_the_correct_runner_up(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_gate_rejects_it_and_picks_the_correct_runner_up(self, workers):
+        # top_k=1 leaves only the sabotaged candidate in the head batch,
+        # so the winner comes from the descent below the top-k.
         space = RiggedGemmSpace()
         result = exhaustive_search(space, TINY_SHAPE, AMPERE)
-        winner, gate_results = run_gate(space, AMPERE, result.ranked,
-                                        TINY_SHAPE, top_k=2)
+        serial_winner, serial_results = run_gate(
+            space, AMPERE, result.ranked, TINY_SHAPE, top_k=1)
+        with FleetEvaluator(workers) as fleet:
+            winner, gate_results = run_gate(space, AMPERE, result.ranked,
+                                            TINY_SHAPE, top_k=1,
+                                            evaluator=fleet)
         assert not gate_results[0].passed
         assert "truncate" not in winner.candidate.params
-        assert any(r.passed for r in gate_results)
+        assert gate_results[-1].passed
+        # Passers are left unchecked below the winner: descent stops.
+        assert len(gate_results) < len(result.ranked)
+        assert winner.label == serial_winner.label
+        assert ([(r.candidate.label, r.passed, r.detail)
+                 for r in gate_results]
+                == [(r.candidate.label, r.passed, r.detail)
+                    for r in serial_results])
 
     def test_tune_end_to_end_returns_the_verified_config(self):
         result = tune("gemm", TINY_SHAPE, AMPERE, space=RiggedGemmSpace(),
@@ -76,6 +91,23 @@ class TestGateMechanics:
         assert result.passed, result.detail
         assert result.max_error is not None and result.max_error < 0.02
         assert result.status == "pass"
+
+    def test_tune_gate_calls_resolve_check_candidate_at_call_time(
+            self, tiny_space, monkeypatch):
+        # Tracing counts gate calls by patching this attribute, so the
+        # one-worker gate must look it up on the verify module per call.
+        calls = []
+        original = verify.check_candidate
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "check_candidate", counting)
+        result = tune("gemm", TINY_SHAPE, AMPERE, space=tiny_space,
+                      cache=False, workers=1)
+        assert result.gate_results
+        assert len(calls) == len(result.gate_results)
 
     def test_all_wrong_space_raises_gate_error(self):
         space = RiggedGemmSpace()
