@@ -14,6 +14,13 @@ Two guarantees distinguish this from the modelled Figure 15 path:
   counters (global/shared traffic, bank-conflict degree) fed through
   the roofline, not from the static library cost table, so the
   reported per-role seconds describe the kernels that actually ran.
+
+A launch's counters depend only on its addresses and control flow,
+which the lowering fixes and no shipped kernel lets tensor data steer.
+So each launch is profiled once per lowering: the first execution runs
+it with the profiler attached and memoizes its seconds on
+:attr:`LoweredNetwork.measured_seconds`; later executions run it with
+the profiler off and reuse that float, exactly.
 """
 
 from __future__ import annotations
@@ -97,7 +104,12 @@ def _seed_inputs(lowered: LoweredNetwork, bindings: Optional[Dict],
         spec = graph.edge(edge)
         dtype = _DTYPES[spec.dtype]
         if edge in bindings:
-            arr = np.asarray(bindings[edge], dtype=dtype)
+            arr = np.asarray(bindings[edge])
+            if arr.dtype != dtype:
+                raise ValueError(
+                    f"binding for {edge!r} has dtype {arr.dtype}, "
+                    f"expected {np.dtype(dtype)}"
+                )
             if tuple(arr.shape) != tuple(spec.shape):
                 raise ValueError(
                     f"binding for {edge!r} has shape {arr.shape}, "
@@ -136,7 +148,11 @@ def execute(lowered: LoweredNetwork, *, bindings: Optional[Dict] = None,
     arch = lowered.arch
     sim = Simulator(arch)
     model = PerfModel(arch)
-    options = replace(options or RunOptions(), profile=True)
+    options = options or RunOptions()
+    profiled = replace(options, profile=True)
+    replayed = replace(options, profile=False)
+    memo = lowered.measured_seconds
+    index = 0
 
     # One buffer per storage edge; alias edges resolve onto it.
     buffers: Dict[str, np.ndarray] = {}
@@ -164,7 +180,8 @@ def execute(lowered: LoweredNetwork, *, bindings: Optional[Dict] = None,
         for name, (shape, dtype) in gl.scratch.items():
             buffers[name] = np.zeros(shape, _DTYPES[dtype])
 
-        snapshot = {e: array_for(e).copy() for e in gl.group.inputs}
+        if check:
+            snapshot = {e: array_for(e).copy() for e in gl.group.inputs}
 
         measured = 0.0
         roles: List[str] = []
@@ -175,9 +192,15 @@ def execute(lowered: LoweredNetwork, *, bindings: Optional[Dict] = None,
                 if bref.rows is not None:
                     arr = arr[bref.rows[0]:bref.rows[1]]
                 run_bindings[param] = arr
+            seconds = memo.get(index)
             result = sim.run(launch.kernel, run_bindings,
-                             symbols=launch.symbols, options=options)
-            seconds = _measured_seconds(launch, result.profile, model, arch)
+                             symbols=launch.symbols,
+                             options=profiled if seconds is None
+                             else replayed)
+            if seconds is None:
+                seconds = memo[index] = _measured_seconds(
+                    launch, result.profile, model, arch)
+            index += 1
             measured += seconds
             role_seconds[launch.role] = (
                 role_seconds.get(launch.role, 0.0) + seconds)

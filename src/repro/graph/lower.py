@@ -91,6 +91,9 @@ class LoweredNetwork:
     groups: List[GroupLowering]
     #: GEMM shape -> winning tuner candidate label (when ``tune=True``).
     tuned: Dict[str, str] = field(default_factory=dict)
+    #: Launch index (in :attr:`launches` order) -> roofline seconds from
+    #: that launch's measured profile, filled by the first execution.
+    measured_seconds: Dict[int, float] = field(default_factory=dict)
 
     @property
     def launches(self) -> List[Launch]:

@@ -315,6 +315,14 @@ class Network:
         ``options`` is a :class:`repro.sim.RunOptions`.  With ``check``
         every fusion group is verified bit-exactly against its numpy
         reference.  Lowers with defaults on first use.
+
+        The first run of a lowering profiles every launch and memoizes
+        its measured seconds; later runs execute with the profiler off
+        and reuse those seconds.  This is exact, not an approximation:
+        the counters depend only on addresses and control flow, which
+        the lowering fixes and the tensor data never steers.  Group
+        checks and any requested sanitizer still run on every pass;
+        calling :meth:`lower` again starts a fresh memo.
         """
         from .executor import execute
 

@@ -15,6 +15,9 @@ from repro.graph import (
     DECODE_SCENARIO, REDUCED_NETWORKS, GraphError, lower_network, network,
 )
 from repro.graph.reference import cache_append_ref, decode_fmha_ref
+from repro.sim import RunOptions
+from repro.sim.profiler import Profiler
+from repro.sim.sanitizer import Sanitizer
 
 pytestmark = pytest.mark.graph
 
@@ -33,6 +36,19 @@ class TestExecutedBitExact:
         assert all(g.max_abs_error == 0.0 for g in run.groups)
         assert run.seconds > 0
         assert all(arr.dtype == np.float16 for arr in run.outputs.values())
+
+        # The second run reuses the first run's profiled seconds; they
+        # must equal what a fresh lowering measures on the new data.
+        warm = net.run(seed=1)
+        fresh = network(name)
+        fresh.lower("ampere", mode="auto")
+        cold = fresh.run(seed=1)
+        assert warm.passed
+        assert all(g.max_abs_error == 0.0 for g in warm.groups)
+        assert ([g.measured_seconds for g in warm.groups]
+                == [g.measured_seconds for g in cold.groups])
+        assert warm.role_seconds == cold.role_seconds
+        assert warm.seconds == cold.seconds
 
     @pytest.mark.parametrize("name", ["DistilBERT", DECODE_SCENARIO.name])
     def test_unfused_mode_groups_match_numpy(self, name):
@@ -163,3 +179,48 @@ class TestLoweringRejections:
         net = network("DistilBERT")
         with pytest.raises(ValueError, match="shape"):
             net.run(bindings={"h0": np.zeros((1, 1), np.float16)})
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int32])
+    def test_mistyped_binding_rejected(self, dtype):
+        net = network("DistilBERT")
+        shape = net.graph.edge("h0").shape
+        given = np.dtype(dtype).name
+        with pytest.raises(ValueError,
+                           match=f"'h0' has dtype {given}, expected float16"):
+            net.run(bindings={"h0": np.zeros(shape, dtype)})
+
+
+class TestProfileOncePerLowering:
+    def test_warm_runs_skip_the_profiler(self, monkeypatch):
+        calls = {"finish": 0, "sanitized": 0}
+        finish = Profiler.finish
+        raise_if_dirty = Sanitizer.raise_if_dirty
+
+        def counted_finish(self, *args, **kwargs):
+            calls["finish"] += 1
+            return finish(self, *args, **kwargs)
+
+        def counted_raise_if_dirty(self):
+            calls["sanitized"] += 1
+            return raise_if_dirty(self)
+
+        monkeypatch.setattr(Profiler, "finish", counted_finish)
+        monkeypatch.setattr(Sanitizer, "raise_if_dirty",
+                            counted_raise_if_dirty)
+        net = network("DistilBERT")
+        launches = len(net.lower("ampere").launches)
+        net.run(seed=0)
+        assert calls["finish"] == launches
+
+        calls["finish"] = 0
+        assert net.run(seed=1).passed
+        assert calls["finish"] == 0
+
+        net.lower("ampere")
+        assert net.run(seed=1).passed
+        assert calls["finish"] == launches
+
+        calls["finish"] = 0
+        run = net.run(options=RunOptions(sanitize=True), seed=2)
+        assert run.passed
+        assert calls == {"finish": 0, "sanitized": launches}
