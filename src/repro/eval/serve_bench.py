@@ -31,6 +31,7 @@ import numpy as np
 
 from ..serve import CapturedGraph, KernelServer, serve_catalog, zipf_schedule
 from ..sim import RunOptions, Simulator
+from ..sim.sanitizer import verdict
 
 #: Acceptance threshold: a warm replay must amortize the cold capture
 #: this many times over in every family.
@@ -74,8 +75,7 @@ def check_family_fidelity(fam, seed: int = 0) -> dict:
                                          sanitize="report", profile=True))
     counters_ok = (_profile_signature(obs.profile)
                    == _profile_signature(obs_ref.profile))
-    sanitizer_ok = (len(obs.sanitizer.reports)
-                    == len(obs_ref.sanitizer.reports))
+    sanitizer_ok = verdict(obs.sanitizer) == verdict(obs_ref.sanitizer)
     return {
         "family": fam.name,
         "kernel": fam.kernel.name,

@@ -89,10 +89,18 @@ def bind_launch(kernel, bindings, symbols, machine, sanitizer=None):
     for param in kernel.params:
         if param.name not in bindings:
             raise SimulationError(f"missing binding for {param!r}")
+        size = int(np.asarray(bindings[param.name]).size)
+        need = param.layout.cosize()
+        if not isinstance(need, int):
+            need = need.evaluate(symbols)
+        if size < need:
+            raise SimulationError(
+                f"binding for parameter {param.name!r} has {size} "
+                f"elements; its layout needs {need}"
+            )
         machine.bind_global(param.buffer, bindings[param.name])
         if sanitizer is not None:
-            sanitizer.declare(param.buffer, GL,
-                              int(np.asarray(bindings[param.name]).size))
+            sanitizer.declare(param.buffer, GL, size)
     for alloc in kernel.allocations():
         cosize = alloc.layout.cosize()
         if not isinstance(cosize, int):

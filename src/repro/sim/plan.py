@@ -993,7 +993,7 @@ class _Replay:
                     if live.size == 0:
                         continue
                     if san is not None:
-                        san.record(tensor, bid, lane, live.tolist(), kind)
+                        san.record(tensor, bid, lane, live, kind)
                     if records is not None:
                         records.append(
                             (mem, buffer, nbytes, kind, lane, live))
@@ -1029,7 +1029,7 @@ class _Replay:
                     if live.size == 0:
                         continue
                     if san is not None:
-                        san.record(tensor, bid, lane, live.tolist(), kind)
+                        san.record(tensor, bid, lane, live, kind)
                     if records is not None:
                         records.append(
                             (mem, buffer, nbytes, kind, lane, live))

@@ -29,19 +29,40 @@ register elements no thread has written (uninitialized reads — the
 simulator's zero-fill hides them; hardware returns garbage), and flags
 barriers executed under thread-dependent predicates (divergent
 barriers, which deadlock or UB on hardware).
+
+Per buffer and scope the state is shadow memory, not a record list per
+element: ``owner``/``wowner`` hold, per element, the one thread that
+made every access/write (or "none" / "several").  Reads never race
+reads, so only elements where another thread wrote (for a read) or
+accessed (for a write) can conflict; the first time one might, its
+distinct records are rebuilt in arrival order from a per-buffer call
+log and it keeps the exact first-conflict scan from then on.  Reports,
+their order and ``suppressed`` are those of a full scan, at a cost
+linear in the accesses, not quadratic in the threads sharing an element.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from array import array
+from typing import Dict, List, Optional, Sequence, Set
+
+import numpy as np
 
 from ..ir.stmt import (
     Barrier, Block, ForLoop, If, SpecStmt, Stmt,
 )
-from ..tensor.memspace import GL, RF, SH, MemSpace
+from ..tensor.memspace import GL, SH, MemSpace
 
 #: Threads per warp on every modelled architecture.
 WARP_SIZE = 32
+
+#: Offset lists longer than this take the numpy path; shorter ones index
+#: the shadow arrays from Python, which is cheaper for the many register
+#: and fragment accesses that carry only a few offsets each.
+_SHORT = 32
+
+#: Shadow summary codes; thread keys (``block * 65536 + lane``) are >= 0.
+_NONE, _MANY, _EXACT = -1, -2, -3
 
 #: Access-kind pair -> hazard name (earlier access first).
 _HAZARDS = {
@@ -104,6 +125,46 @@ class SanitizerReport:
         return f"SanitizerReport<{self.describe()}>"
 
 
+def verdict(sanitizer) -> Optional[tuple]:
+    """Every field of every report, plus ``suppressed``: two sanitizers
+    reached the same verdict exactly when these compare equal."""
+    if sanitizer is None:
+        return None
+    return ([(r.kind, r.buffer, str(r.mem), r.element, r.threads, r.block,
+              r.epoch, r.spec, r.detail) for r in sanitizer.reports],
+            sanitizer.suppressed)
+
+
+class _Shadow:
+    """One buffer's race state for a scope (the launch for GL, a block
+    epoch for SH): the ``owner``/``wowner`` summaries, the full record
+    lists of promoted elements (``hist``) and the call ``log``."""
+
+    __slots__ = ("owner", "wowner", "hist", "log")
+
+    def __init__(self, size: Optional[int]):
+        self.owner = array("q", [_NONE]) * (size or 0)
+        self.wowner = array("q", [_NONE]) * (size or 0)
+        self.hist: Dict[int, List[tuple]] = {}
+        self.log: List[tuple] = []
+
+    def promote(self, need: Set[int]) -> None:
+        """Give each element of ``need`` its distinct records, in order."""
+        hist = self.hist
+        for off in need:
+            self.owner[off] = self.wowner[off] = _EXACT
+            hist[off] = []
+        for rec, offs in self.log:
+            if isinstance(offs, np.ndarray):
+                offs = offs.tolist()
+            if need.isdisjoint(offs):
+                continue
+            for off in need.intersection(offs):
+                entries = hist[off]
+                if rec not in entries:
+                    entries.append(rec)
+
+
 class Sanitizer:
     """Per-launch access tracker; attach via ``Simulator.run(sanitize=)``.
 
@@ -120,15 +181,16 @@ class Sanitizer:
         self.reports: List[SanitizerReport] = []
         self.suppressed = 0
         self._sizes: Dict[str, int] = {}
-        self._mem: Dict[str, MemSpace] = {}
-        # Buffer -> element -> access records. Shared state is cleared
-        # at block barriers (and block entry); global state spans the
-        # whole launch because no grid-wide barrier exists.
-        self._shared: Dict[str, Dict[int, List[tuple]]] = {}
-        self._global: Dict[str, Dict[int, List[tuple]]] = {}
-        # (scope key, element) pairs that have been written; scope key
-        # is the block for SH and (block, thread) for RF.
-        self._written: Dict[str, Set[tuple]] = {}
+        # Buffer -> shadow state.  Shared state is cleared at block
+        # barriers (and block entry); global state spans the whole
+        # launch because no grid-wide barrier exists.
+        self._shared: Dict[str, _Shadow] = {}
+        self._global: Dict[str, _Shadow] = {}
+        # (buffer, scope key) -> bitmap of written elements; scope key is
+        # the block for SH and (block, thread) for RF.  Out-of-bounds
+        # writes go to a per-buffer set of (scope key, element) pairs.
+        self._written: Dict[tuple, bytearray] = {}
+        self._written_oob: Dict[str, Set[tuple]] = {}
         self._seen: Set[tuple] = set()
         self._block = 0
         self._bepoch = 0
@@ -140,7 +202,6 @@ class Sanitizer:
     def declare(self, buffer: str, mem: MemSpace, size: int) -> None:
         """Register a buffer's memory space and legal element count."""
         self._sizes[buffer] = size
-        self._mem[buffer] = mem
 
     def begin_block(self, block_id: int) -> None:
         """Reset per-block state; epochs keep increasing monotonically."""
@@ -175,67 +236,148 @@ class Sanitizer:
                offsets: Sequence[int], kind: str) -> None:
         """Record one lane's element accesses to a tensor view.
 
-        ``offsets`` are the live (unmasked, post-swizzle) physical
-        element offsets; guarded-out elements never reach memory and
-        must not be passed here.
+        ``offsets`` (a list or an int ndarray) are the live (unmasked,
+        post-swizzle) physical element offsets; guarded-out elements
+        never reach memory and must not be passed here.
         """
-        if not offsets:
+        if not len(offsets):
             return
         mem = tensor.mem
         name = tensor.buffer
         size = self._sizes.get(name)
-        if size is not None:
-            for off in offsets:
-                if off < 0 or off >= size:
-                    self._report(
-                        "out-of-bounds", name, mem, off, (lane,),
-                        f"{kind} at element {off} of a {size}-element "
-                        "allocation",
-                        dedup=("out-of-bounds", name, self._spec, kind),
-                    )
+        vec = len(offsets) > _SHORT
+        if vec:
+            offsets = np.asarray(offsets, dtype=np.int64)
+        elif isinstance(offsets, np.ndarray):
+            offsets = offsets.tolist()
+        lo, hi = (offsets.min(), offsets.max()) if vec else \
+            (min(offsets), max(offsets))
+        inb = size is not None and lo >= 0 and hi < size
+        if not inb:
+            if vec:
+                offsets, vec = offsets.tolist(), False
+            if size is not None:
+                bad = [off for off in offsets if off < 0 or off >= size]
+                self._flag(
+                    "out-of-bounds", name, mem, lane, bad,
+                    f"{kind} at element {bad[0]} of a {size}-element "
+                    "allocation",
+                    ("out-of-bounds", name, self._spec, kind),
+                )
         if mem == GL:
-            self._record_race(self._global, name, mem, block, lane,
-                              offsets, kind)
+            self._record_race(self._global, name, mem, size, block, lane,
+                              offsets, kind, vec)
             return
         scope = block if mem == SH else (block, lane)
-        written = self._written.setdefault(name, set())
+        bits = self._written.get((name, scope))
+        if bits is None:
+            bits = self._written[(name, scope)] = bytearray(size or 0)
+        n = len(bits)
+        oob = self._written_oob.setdefault(name, set())
         if kind == "read":
-            for off in offsets:
-                if (scope, off) not in written:
-                    self._report(
-                        "uninitialized-read", name, mem, off, (lane,),
-                        "element was never written in this "
-                        + ("block" if mem == SH else "thread")
-                        + " (simulator zero-fill hides this; hardware "
-                        "returns garbage)",
-                        dedup=("uninitialized-read", name, self._spec),
-                    )
+            if vec:
+                bad = offsets[np.frombuffer(bits, np.uint8)[offsets] == 0]
+            else:
+                bad = [off for off in offsets if not (
+                    bits[off] if 0 <= off < n else (scope, off) in oob)]
+            if len(bad):
+                self._flag(
+                    "uninitialized-read", name, mem, lane, bad,
+                    "element was never written in this "
+                    + ("block" if mem == SH else "thread")
+                    + " (simulator zero-fill hides this; hardware "
+                    "returns garbage)",
+                    ("uninitialized-read", name, self._spec),
+                )
+        elif vec:
+            np.frombuffer(bits, np.uint8)[offsets] = 1
         else:
-            written.update((scope, off) for off in offsets)
+            for off in offsets:
+                if 0 <= off < n:
+                    bits[off] = 1
+                else:
+                    oob.add((scope, off))
         if mem == SH:
-            self._record_race(self._shared, name, mem, block, lane,
-                              offsets, kind)
+            self._record_race(self._shared, name, mem, size, block, lane,
+                              offsets, kind, vec)
 
-    def _record_race(self, table, name, mem, block, lane, offsets, kind):
-        per_elem = table.setdefault(name, {})
+    def _flag(self, kind, buffer, mem, lane, bad, detail, dedup) -> None:
+        """Report the first of ``bad`` offsets: the rest share its dedup
+        key, so each one is a suppressed finding."""
+        self._report(kind, buffer, mem, int(bad[0]), (lane,), detail, dedup)
+        self.suppressed += len(bad) - 1
+
+    def _record_race(self, table, name, mem, size, block, lane, offsets,
+                     kind, vec):
+        state = table.get(name)
+        if state is None:
+            state = table[name] = _Shadow(size)
         rec = (block, lane, lane // self.warp_size, self._bepoch,
                self._wepoch, kind, self._spec)
-        for off in offsets:
-            entries = per_elem.setdefault(off, [])
-            for other in entries:
-                hazard = self._conflict(other, rec)
-                if hazard is not None:
-                    self._report(
-                        hazard, name, mem, off, (other[1], lane),
-                        f"{other[5]} by thread {other[1]} in {other[6]} "
-                        f"and {kind} by thread {lane} in {self._spec} "
-                        "with no ordering barrier between them",
-                        dedup=(hazard, name, other[6], self._spec),
-                        block=block,
-                    )
-                    break
-            if rec not in entries:
-                entries.append(rec)
+        key = block * 65536 + lane
+        owner, wowner = state.owner, state.wowner
+        n = len(owner)
+        # Reads never race reads, so a read can conflict only with a
+        # write by another thread, a write with any access by another
+        # thread; every other element just updates its summaries.
+        if vec:
+            owner_v = np.frombuffer(owner, dtype=np.int64)
+            wowner_v = np.frombuffer(wowner, dtype=np.int64)
+            if kind == "read":
+                w = wowner_v[offsets]
+                maybe = (w != _NONE) & (w != key)
+                free = offsets[~maybe]
+                o = owner_v[free]
+                owner_v[free] = np.where((o == _NONE) | (o == key), key,
+                                         _MANY)
+            else:
+                o = owner_v[offsets]
+                maybe = (o != _NONE) & (o != key)
+                free = offsets[~maybe]
+                owner_v[free] = wowner_v[free] = key
+            exact = offsets[maybe].tolist()
+        else:
+            exact = []
+            for off in offsets:
+                if not 0 <= off < n:
+                    exact.append(off)
+                elif kind == "read":
+                    w = wowner[off]
+                    if w != _NONE and w != key:
+                        exact.append(off)
+                    else:
+                        o = owner[off]
+                        if o != key:
+                            owner[off] = key if o == _NONE else _MANY
+                else:
+                    o = owner[off]
+                    if o != _NONE and o != key:
+                        exact.append(off)
+                    else:
+                        owner[off] = wowner[off] = key
+        if exact:
+            need = {off for off in exact
+                    if 0 <= off < n and owner[off] != _EXACT}
+            if need:
+                state.promote(need)
+            hist = state.hist
+            for off in exact:
+                entries = hist.setdefault(off, [])
+                for other in entries:
+                    hazard = self._conflict(other, rec)
+                    if hazard is not None:
+                        self._report(
+                            hazard, name, mem, off, (other[1], lane),
+                            f"{other[5]} by thread {other[1]} in {other[6]} "
+                            f"and {kind} by thread {lane} in {self._spec} "
+                            "with no ordering barrier between them",
+                            dedup=(hazard, name, other[6], self._spec),
+                            block=block,
+                        )
+                        break
+                if rec not in entries:
+                    entries.append(rec)
+        state.log.append((rec, offsets))
 
     def _conflict(self, a: tuple, b: tuple) -> Optional[str]:
         """Hazard name when records ``a`` (earlier) and ``b`` race."""

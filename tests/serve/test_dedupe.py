@@ -20,6 +20,7 @@ from repro.layout.swizzle import Swizzle
 from repro.serve import CapturedGraph, GraphCache, graph_key
 from repro.sim import RunOptions, Simulator
 from repro.sim.plan import kernel_fingerprint, plan_cache_key
+from repro.sim.sanitizer import verdict
 from repro.tensor.dtypes import FP16
 from repro.tensor.memspace import SH
 
@@ -113,7 +114,7 @@ class TestFingerprintDedupe:
                     counters[field] = counters.get(field, 0) + \
                         getattr(spec, field)
             totals.append((counters, run.profile.barriers,
-                           len(run.sanitizer.reports)))
+                           verdict(run.sanitizer)))
         assert totals[0] == totals[1]
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from repro.serve import KernelServer, ServeFamily, serve_catalog, \
     zipf_schedule
-from repro.sim import RunOptions, Simulator
+from repro.sim import RunOptions, SimulationError, Simulator
 
 pytestmark = pytest.mark.serve
 
@@ -103,6 +103,21 @@ def test_unknown_family_and_bad_bindings(catalog):
         with pytest.raises(Exception):
             future.result(timeout=60)
     assert server.metrics.requests_failed >= 1
+
+
+def test_short_binding_fails_the_request_cleanly(catalog):
+    """A gemm input three elements short resolves to a SimulationError
+    naming the parameter, not an IndexError from inside the engine."""
+    fam = _family(catalog, "gemm")
+    bad = fam.make_bindings(np.random.default_rng(0))
+    bad["A"] = bad["A"].reshape(-1)[:-3].copy()
+    with KernelServer([fam], options=RunOptions(sanitize=True)) as server:
+        future = server.submit(fam.name, bad)
+        with pytest.raises(SimulationError,
+                           match=r"'A' has 509 elements; its layout needs "
+                                 r"512"):
+            future.result(timeout=60)
+    assert server.metrics.requests_failed == 1
 
 
 def test_respelled_families_share_one_graph_entry():

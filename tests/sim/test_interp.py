@@ -55,6 +55,32 @@ class TestBasics:
         with pytest.raises(SimulationError, match="missing binding"):
             Simulator(AMPERE).run(kb.build(), {})
 
+    @pytest.mark.parametrize("engine", ["vectorized", "reference"])
+    def test_short_binding_raises(self, engine):
+        kb = KernelBuilder("copy", (1,), (8,))
+        x = kb.param("x", (8,), FP32)
+        y = kb.param("y", (8,), FP32)
+        t = Var("threadIdx.x")
+        kb.move(x.tile((1,))[t], y.tile((1,))[t])
+        with pytest.raises(SimulationError,
+                           match=r"'x' has 5 elements; its layout needs 8"):
+            Simulator(AMPERE).run(
+                kb.build(), {"x": np.zeros(5, np.float32),
+                             "y": np.zeros(8, np.float32)},
+                sanitize=True, engine=engine)
+
+    def test_short_binding_checked_under_launch_symbols(self):
+        kb = KernelBuilder("k", (1,), (1,))
+        m = kb.symbol("M")
+        kb.param("x", (m, 4), FP32)
+        kernel = kb.build()
+        Simulator(AMPERE).run(kernel, {"x": np.zeros((3, 4), np.float32)},
+                              symbols={"M": 3})
+        with pytest.raises(SimulationError, match="has 12 elements; its "
+                           "layout needs 16"):
+            Simulator(AMPERE).run(kernel, {"x": np.zeros((3, 4), np.float32)},
+                                  symbols={"M": 4})
+
     def test_unbound_symbol_raises(self):
         kb = KernelBuilder("k", (1,), (1,))
         kb.symbol("M")

@@ -23,6 +23,7 @@ from repro.sim import (
     plan_cache_key, strip_barriers,
 )
 from repro.sim.profiler import SpecCounters
+from repro.sim.sanitizer import verdict
 
 CASES = {c.name: c for c in default_cases()}
 
@@ -38,16 +39,6 @@ def _profile_sig(profile):
     return (profile.kernel_name, profile.grid_size, profile.block_size,
             spec_rows, dict(profile.barriers), tuple(profile.events),
             profile.dropped_events)
-
-
-def _san_sig(san):
-    if san is None:
-        return None
-    return (
-        [(r.kind, r.buffer, str(r.mem), r.element, r.threads, r.block,
-          r.epoch, r.spec, r.detail) for r in san.reports],
-        san.suppressed,
-    )
 
 
 def _machine_sig(machine):
@@ -70,7 +61,7 @@ def _run_engine(case: Case, engine: str, sanitize="report"):
         {k: v.tobytes() for k, v in arrays.items()},
         _machine_sig(result.machine),
         _profile_sig(result.profile),
-        _san_sig(result.sanitizer),
+        verdict(result.sanitizer),
     )
 
 
