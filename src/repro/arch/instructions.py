@@ -175,19 +175,29 @@ def exec_sparse24_decompress(spec: Spec, ctx: ExecCtx) -> None:
     """Expand a 2:4-compressed operand tile to dense in shared memory.
 
     ``inputs[0]`` is the compressed ``(m, k/2)`` fp16 tile, ``inputs[1]``
-    the ``(m, k/2)`` metadata tile whose entry ``(i, 2g+h)`` names the
-    column (0..3) that value ``h`` of group ``g`` occupies; per group the
-    two indices must be distinct and ascending.  ``outputs[0]`` receives
-    the dense ``(m, k)`` tile with zeros in the pruned positions.
+    the ``(m, k/2)`` metadata tile; ``outputs[0]`` receives the dense
+    ``(m, k)`` tile (see :func:`sparse24_expand`).
     """
     comp, meta = spec.inputs
-    dense = spec.outputs[0]
     lead = ctx.lanes[0]
     env = ctx.lane_env(lead)
+    dense = sparse24_expand(comp, ctx.read(comp, env, lead),
+                            ctx.read(meta, env, lead))
+    ctx.write(spec.outputs[0], env, lead, dense)
+
+
+def sparse24_expand(comp, comp_vals: np.ndarray,
+                    meta_vals: np.ndarray) -> np.ndarray:
+    """The dense tile (colex order) a 2:4-compressed ``comp`` tile expands to.
+
+    ``comp_vals``/``meta_vals`` are the compressed values and metadata
+    in colex order.  Metadata entry ``(i, 2g+h)`` names the column
+    (0..3) that value ``h`` of group ``g`` occupies; per group the two
+    indices must be distinct and ascending.  Pruned positions are zero.
+    """
     m, half_k = tuple(it.flatten(comp.layout.shape))
-    comp_mat = ctx.read(comp, env, lead).reshape((m, half_k), order="F")
-    meta_mat = ctx.read(meta, env, lead).reshape(
-        (m, half_k), order="F").astype(np.int64)
+    comp_mat = comp_vals.reshape((m, half_k), order="F")
+    meta_mat = meta_vals.reshape((m, half_k), order="F").astype(np.int64)
     if np.any(meta_mat < 0) or np.any(meta_mat > 3):
         raise ValueError("2:4 metadata indices must be in 0..3")
     lo, hi = meta_mat[:, 0::2], meta_mat[:, 1::2]
@@ -201,7 +211,7 @@ def exec_sparse24_decompress(spec: Spec, ctx: ExecCtx) -> None:
     groups = np.arange(half_k // 2)[None, :]
     out[rows, 4 * groups + lo] = comp_mat[:, 0::2]
     out[rows, 4 * groups + hi] = comp_mat[:, 1::2]
-    ctx.write(dense, env, lead, np.ravel(out, order="F"))
+    return np.ravel(out, order="F")
 
 
 # -- thread-local compute ------------------------------------------------------------

@@ -111,22 +111,6 @@ class MmaSemantics:
             ]
         raise ValueError(f"no warp partition for group size {self.group}")
 
-    def warpgroup_partition(self) -> List[List[int]]:
-        """How a 128-lane warpgroup splits into cooperating groups.
-
-        A warpgroup-scope instruction (``group == 128``) uses all four
-        warps as one group; warp- and quad-pair-scope instructions
-        replicate their :meth:`warp_partition` across the warpgroup's
-        four warps.
-        """
-        if self.group == 128:
-            return [list(range(128))]
-        return [
-            [base + pos for pos in grp]
-            for base in (0, 32, 64, 96)
-            for grp in self.warp_partition()
-        ]
-
     def compute(
         self,
         a_frags: Sequence[np.ndarray],

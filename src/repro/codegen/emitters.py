@@ -89,18 +89,6 @@ def element_refs(tensor: Tensor) -> List[Tuple[str, List[str]]]:
     ]
 
 
-def frag_refs(tensor: Tensor) -> List[str]:
-    """Element refs of a (possibly one-level-tiled) register fragment,
-    in register order (tile-major, colex)."""
-    if not isinstance(tensor.element, Tile):
-        return [r for r, _ in element_refs(tensor)]
-    refs: List[str] = []
-    for crd in it.iter_coords(tensor.layout.shape):
-        tile = tensor[crd]
-        refs.extend(r for r, _ in element_refs(tile))
-    return refs
-
-
 def frag_b32_regs(tensor: Tensor) -> List[str]:
     """The fragment reinterpreted as packed 32-bit registers.
 

@@ -8,9 +8,13 @@ One subcommand per evaluation mode, sharing ``--out-dir``/``--arch``/
     python -m repro.eval profile                # perfmodel calibration
     python -m repro.eval conformance --self-check
     python -m repro.eval bench-smoke --out-dir bench_artifacts
-    python -m repro.eval serve-bench --requests 200
+    python -m repro.eval serve-bench            # capture/replay fidelity
     python -m repro.eval graph-bench            # executed network bench
-    python -m repro.eval tuner-bench            # tune-all fleet benchmark
+    python -m repro.eval tuner-bench            # fleet-tuner benchmark
+
+Every artifact is written by :func:`repro.eval.report.write_artifact`,
+which adds a shared ``"header"`` (host, core count, versions, git rev,
+timing repeats).
 
 ``python -m repro.eval <command> --help`` documents each subcommand.
 """
@@ -67,13 +71,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="family names, e.g. fig09 (default: all)")
 
     p = sub.add_parser("serve-bench", parents=[with_out],
-                       help="captured-graph serving benchmark")
+                       help="captured-graph fidelity and cold-vs-warm")
     p.add_argument("families", nargs="*", metavar="family",
-                   help="request families (default: all)")
-    p.add_argument("--requests", type=int, default=120,
-                   help="number of requests (default: 120)")
-    p.add_argument("--workers", type=int, default=4,
-                   help="serving worker threads (default: 4)")
+                   help="serve families (default: all)")
 
     p = sub.add_parser(
         "graph-bench", parents=[with_out],
@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "tuner-bench", parents=[with_out],
-        help="tune-all fleet benchmark (serial vs parallel vs transfer)",
+        help="fleet-tuner benchmark (serial vs parallel vs transfer)",
     )
     p.add_argument("--workers", type=int, default=None,
                    help="process-fleet width (default: cpu count, min 2)")
@@ -174,9 +174,7 @@ def _cmd_serve_bench(args) -> int:
     from .serve_bench import run_serve_bench
 
     try:
-        path = run_serve_bench(n_requests=args.requests, seed=args.seed,
-                               outdir=args.out_dir,
-                               max_workers=args.workers,
+        path = run_serve_bench(seed=args.seed, outdir=args.out_dir,
                                families=args.families or None)
     except (KeyError, RuntimeError) as exc:
         print(exc)
@@ -200,6 +198,8 @@ def _cmd_graph_bench(args) -> int:
 
 
 def _cmd_tuner_bench(args) -> int:
+    import json
+
     from .tuner_bench import run_tuner_bench
 
     try:
@@ -209,8 +209,14 @@ def _cmd_tuner_bench(args) -> int:
     except (KeyError, RuntimeError) as exc:
         print(exc)
         return 1
+    with open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)
     print(f"wrote {path}")
-    return 0
+    print(f"speedup vs serial: "
+          f"{payload['speedup_parallel_transfer_vs_serial']}x "
+          f"(target {payload['target_speedup']}x, "
+          f"meets: {payload['meets_target']})")
+    return 0 if payload["meets_target"] else 1
 
 
 _COMMANDS = {

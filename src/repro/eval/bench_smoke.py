@@ -19,8 +19,6 @@ update fails its smoke run rather than silently drifting.
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from typing import Dict, List, Optional, Tuple
 
@@ -31,6 +29,7 @@ from ..perfmodel import count_kernel, estimate_kernel
 from ..perfmodel.calibrate import (
     DEFAULT_TOLERANCE, FMHA_SMEM_TOLERANCE, CalibrationRow,
 )
+from .report import write_artifact
 
 #: One representative, simulation-friendly config per figure family.
 #: (config, smem_tolerance) — FMHA's shared traffic is modelled
@@ -197,11 +196,8 @@ def run_sim_speed_bench(
             "min_speedup_cold": min(r["speedup_cold"] for r in rows),
         },
     }
-    os.makedirs(outdir, exist_ok=True)
-    path = os.path.join(outdir, "BENCH_sim_speed.json")
-    with open(path, "w") as fh:
-        json.dump(artifact, fh, indent=2, sort_keys=True)
-    return path
+    return write_artifact(outdir, "BENCH_sim_speed.json", artifact,
+                          repeats=repeats)
 
 
 def time_plan_compile(figure: str, arch="ampere", seed: int = 0,
@@ -327,11 +323,8 @@ def run_plan_compile_bench(
             "total_accessors": sum(r["total_accessors"] for r in rows),
         },
     }
-    os.makedirs(outdir, exist_ok=True)
-    path = os.path.join(outdir, "BENCH_plan_compile.json")
-    with open(path, "w") as fh:
-        json.dump(artifact, fh, indent=2, sort_keys=True)
-    return path
+    return write_artifact(outdir, "BENCH_plan_compile.json", artifact,
+                          repeats=repeats)
 
 
 def run_fig15_bench(arch: str = "ampere",
@@ -377,11 +370,7 @@ def run_fig15_bench(arch: str = "ampere",
             and all(0.0 < s <= paper_max * 1.15 for s in speedups)
         ),
     }
-    os.makedirs(outdir, exist_ok=True)
-    path = os.path.join(outdir, "BENCH_fig15.json")
-    with open(path, "w") as fh:
-        json.dump(artifact, fh, indent=2, sort_keys=True)
-    return path
+    return write_artifact(outdir, "BENCH_fig15.json", artifact)
 
 
 def run_bench_smoke(
@@ -399,10 +388,10 @@ def run_bench_smoke(
     times cold plan compilation with the F2 linear index path on and
     off into ``BENCH_plan_compile.json`` (``plan_compile=False``
     skips it), and evaluates the end-to-end figure-15 report into
-    ``BENCH_fig15.json`` when no family filter is given.  Returns the artifact paths; raises
-    ``RuntimeError`` if any family's measured-vs-modelled check failed
-    (after writing all artifacts, so the failing numbers are on disk
-    for inspection).
+    ``BENCH_fig15.json`` when no family filter is given.  Returns the
+    artifact paths; raises ``RuntimeError`` if any family's
+    measured-vs-modelled check failed (after writing all artifacts, so
+    the failing numbers are on disk for inspection).
     """
     families = smoke_families()
     names = figures or sorted(families)
@@ -412,14 +401,10 @@ def run_bench_smoke(
             f"unknown bench-smoke families {unknown}; "
             f"available: {sorted(families)}"
         )
-    os.makedirs(outdir, exist_ok=True)
     paths, failures = [], []
     for name in names:
         artifact = run_family(name, arch=arch, seed=seed)
-        path = os.path.join(outdir, f"BENCH_{name}.json")
-        with open(path, "w") as fh:
-            json.dump(artifact, fh, indent=2, sort_keys=True)
-        paths.append(path)
+        paths.append(write_artifact(outdir, f"BENCH_{name}.json", artifact))
         if not artifact["passed"]:
             failures.append(name)
     if sim_speed:
@@ -437,15 +422,6 @@ def run_bench_smoke(
         paths.append(run_hopper_bench(arch=arch, outdir=outdir, seed=seed))
     if figures is None:
         paths.append(run_fig15_bench(arch=arch, outdir=outdir))
-        # Reduced graph phase: compile + execute one encoder and the
-        # decode scenario end to end (every group bit-checked).
-        from .graph_bench import run_graph_bench
-
-        paths.append(run_graph_bench(
-            networks=["DistilBERT", "GPT-2-decode"], arch=arch, seed=seed,
-            tune=False, outdir=outdir,
-            filename="BENCH_networks_smoke.json",
-        ))
     if failures:
         raise RuntimeError(
             f"bench-smoke drift in {failures}; see artifacts in {outdir}/"

@@ -19,12 +19,11 @@ is included per network as context (``attribution: "modelled"``).
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Dict, List, Optional
 
 from ..graph import DECODE_SCENARIO, REDUCED_NETWORKS, network
 from ..tuner import resolve_arch
+from .report import write_artifact
 
 SCHEMA = "repro.graph-bench/v1"
 
@@ -83,7 +82,6 @@ def run_graph_bench(
     seed: int = 0,
     tune: bool = True,
     outdir: str = "bench_artifacts",
-    filename: str = "BENCH_networks.json",
 ) -> str:
     """Execute the network bench and write ``BENCH_networks.json``."""
     architecture = resolve_arch(arch)
@@ -122,9 +120,4 @@ def run_graph_bench(
         "networks": rows,
         "passed": all(r["passed"] for r in rows),
     }
-    os.makedirs(outdir, exist_ok=True)
-    path = os.path.join(outdir, filename)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    return write_artifact(outdir, "BENCH_networks.json", payload)

@@ -19,8 +19,6 @@ artifact to ``BENCH_hopper.json``.
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -28,6 +26,7 @@ import numpy as np
 from ..arch import architecture
 from ..perfmodel import count_kernel, estimate_kernel
 from ..perfmodel.calibrate import DEFAULT_TOLERANCE, CalibrationRow
+from .report import write_artifact
 
 #: Calibration shapes per family: (m, n, k, block_k).
 CALIBRATION_SHAPES = {
@@ -208,10 +207,7 @@ def run_hopper_bench(arch: str = "hopper", outdir: str = "bench_artifacts",
             and comparison["hopper_beats_ampere_lowering"]
         ),
     }
-    os.makedirs(outdir, exist_ok=True)
-    path = os.path.join(outdir, "BENCH_hopper.json")
-    with open(path, "w") as fh:
-        json.dump(artifact, fh, indent=2, sort_keys=True)
+    path = write_artifact(outdir, "BENCH_hopper.json", artifact)
     if not artifact["passed"]:
         raise RuntimeError(
             f"hopper bench failed its checks; see {path}"

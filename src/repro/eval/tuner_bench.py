@@ -1,4 +1,4 @@
-"""The ``tune-all`` fleet-tuner benchmark (``BENCH_tuner.json``).
+"""The fleet-tuner benchmark (``BENCH_tuner.json``).
 
 Tunes every registered kernel family over a multi-shape roster three
 ways and writes one artifact comparing them:
@@ -21,13 +21,13 @@ calibrated cost model's agreement with the default roofline
 (:func:`repro.perfmodel.fit_coefficients` /
 :class:`repro.perfmodel.FittedOracle`).  The headline number is the
 wall-clock reduction of parallel+transfer over serial; the target is
-``TARGET_SPEEDUP`` (>= 5x).
+``TARGET_SPEEDUP`` (>= 5x).  ``python -m repro.eval tuner-bench`` runs
+it and exits 1 when the target is missed.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
 from typing import Dict, List, Optional, Tuple
 
@@ -35,6 +35,7 @@ from ..perfmodel import FittedOracle, fit_coefficients, rank_agreement
 from ..tuner import TuningCache, resolve_arch, tune
 from ..tuner.fleet import default_workers
 from ..tuner.search import exhaustive_search
+from .report import write_artifact
 
 #: The acceptance bar for parallel+transfer over serial.
 TARGET_SPEEDUP = 5.0
@@ -133,7 +134,7 @@ _FAMILY_ARCH = {"gemm_fp8": "hopper", "gemm_sparse24": "hopper"}
 
 def _run_mode(roster, arch, *, workers: int, transfer: bool,
               search: str, top_k: int, seed: int, beam: int = 6):
-    """One full tune-all sweep; returns (records, per-family seconds)."""
+    """One full roster sweep; returns (records, per-family seconds)."""
     cache = TuningCache(None)  # in-memory: each mode starts cold
     records: Dict[Tuple[str, str], Dict] = {}
     family_seconds: Dict[str, float] = {}
@@ -197,7 +198,7 @@ def run_tuner_bench(
     seed: int = 0,
     transfer: bool = True,
 ) -> str:
-    """Run the three-mode tune-all sweep and write ``BENCH_tuner.json``."""
+    """Run the three-mode roster sweep and write ``BENCH_tuner.json``."""
     architecture = resolve_arch(arch)
     # At least two workers so the parallel modes genuinely cross the
     # process boundary even on single-core boxes (where the fleet's
@@ -282,12 +283,7 @@ def run_tuner_bench(
         "oracle": _oracle_report(architecture, seed),
     }
 
-    os.makedirs(outdir, exist_ok=True)
-    path = os.path.join(outdir, "BENCH_tuner.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    return write_artifact(outdir, "BENCH_tuner.json", payload)
 
 
 __all__ = ["TARGET_SPEEDUP", "run_tuner_bench", "tune_all_roster"]

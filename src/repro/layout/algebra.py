@@ -187,13 +187,6 @@ def right_inverse(layout: Layout) -> Layout:
     return Layout(shapes, strides)
 
 
-def _as_single_mode(layout: Layout) -> Layout:
-    """Wrap a multi-mode layout so it occupies one top-level mode."""
-    if layout.rank == 1:
-        return layout
-    return Layout((layout.shape,), (layout.stride,))
-
-
 def _concat_modes(modes: Sequence[Layout]) -> Layout:
     shapes = []
     strides = []

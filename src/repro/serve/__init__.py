@@ -17,8 +17,10 @@ inference endpoint:
   them on pooled worker threads (numpy releases the GIL inside the
   batched gathers/scatters), and reports serving metrics.
 * :mod:`repro.serve.workload` builds a kernel catalog over every
-  shipped family and samples Zipf-distributed request mixes for
-  benchmarking (``python -m repro.eval serve-bench``).
+  shipped family and samples Zipf-distributed request mixes.
+  ``python -m repro.eval serve-bench`` checks the catalog's replay
+  fidelity and cold-vs-warm; the repo benchmark's open-loop ``serve``
+  workload (``perfbench/``) drives the mixes through a server.
 """
 
 from .cache import GraphCache

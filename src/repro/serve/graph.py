@@ -122,15 +122,12 @@ class CapturedGraph:
     @classmethod
     def capture(cls, kernel, arch, symbols: Optional[Dict[str, int]],
                 bindings: Dict[str, np.ndarray],
-                options: Optional[RunOptions] = None,
-                plan: Optional[LaunchPlan] = None) -> "CapturedGraph":
+                options: Optional[RunOptions] = None) -> "CapturedGraph":
         """Capture ``kernel`` at this launch signature.
 
         ``bindings`` provides the parameter arrays whose shapes/dtypes
         fix the static-slot geometry (contents are copied in as the
         slots' initial state but every replay overwrites them).
-        ``plan`` lets a caller reuse an already-compiled launch plan
-        (e.g. from a simulator's plan cache).
         """
         start = time.perf_counter()
         self = cls.__new__(cls)
@@ -148,8 +145,7 @@ class CapturedGraph:
         machine = Machine()
         recorder = _DeclRecorder()
         bind_launch(kernel, slots, symbols, machine, recorder)
-        if plan is None:
-            plan = LaunchPlan(kernel, arch)
+        plan = LaunchPlan(kernel, arch)
         written = set()
         for spec in kernel.specs():
             for t in spec.outputs:

@@ -62,11 +62,6 @@ class ServeFamily:
             bindings = self._binder(rng, self._templates, bindings)
         return bindings
 
-    def template_bindings(self) -> Dict[str, np.ndarray]:
-        """Copies of the conformance case's own arrays."""
-        return {k: np.array(v, copy=True)
-                for k, v in self._templates.items()}
-
     def __repr__(self):
         return (f"ServeFamily({self.name}, kernel={self.kernel.name}, "
                 f"outputs={list(self.outputs)})")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -127,17 +127,6 @@ class ExecCtx:
             buf[offsets] = np.asarray(values, dtype=buf.dtype).reshape(-1)
         if tensor.mem == SH and not bulk:
             self._record_smem([offsets], tensor)
-
-    def read_lanes(self, tensor: Tensor, fill=0) -> List[np.ndarray]:
-        """Read the view for every lane of this context."""
-        return [
-            self.read(tensor, self.lane_env(lane), lane, fill)
-            for lane in self.lanes
-        ]
-
-    def write_lanes(self, tensor: Tensor, per_lane_values) -> None:
-        for lane, values in zip(self.lanes, per_lane_values):
-            self.write(tensor, self.lane_env(lane), lane, values)
 
     def read_frag(self, tensor: Tensor, env: dict, lane: int) -> np.ndarray:
         """Read a register fragment in (tile-major, colex) order.

@@ -78,7 +78,8 @@ def bind_launch(kernel, bindings, symbols, machine, sanitizer=None):
 
     The launch-setup contract shared by ``Simulator.run`` and the serve
     layer's graph capture (:mod:`repro.serve.graph`): every kernel
-    symbol must be bound, every parameter tensor gets its numpy array
+    symbol must be bound, every binding must name a parameter and match
+    its dtype and extent, every parameter tensor gets its numpy array
     bound as a global buffer, and every ``Allocate`` in the body gets
     its backing buffer declared (swizzled tensors round their window up
     to a power of two so XOR'd offsets stay in range).
@@ -86,10 +87,21 @@ def bind_launch(kernel, bindings, symbols, machine, sanitizer=None):
     missing = [v.name for v in kernel.symbols if v.name not in symbols]
     if missing:
         raise SimulationError(f"unbound kernel symbols: {missing}")
+    unknown = sorted(set(bindings) - {p.name for p in kernel.params})
+    if unknown:
+        raise SimulationError(
+            f"bindings {unknown} name no parameter of {kernel.name!r}"
+        )
     for param in kernel.params:
         if param.name not in bindings:
             raise SimulationError(f"missing binding for {param!r}")
-        size = int(np.asarray(bindings[param.name]).size)
+        array = np.asarray(bindings[param.name])
+        if array.dtype != param.dtype.np_dtype:
+            raise SimulationError(
+                f"binding for parameter {param.name!r} has dtype "
+                f"{array.dtype}; the parameter is {param.dtype.np_dtype}"
+            )
+        size = int(array.size)
         need = param.layout.cosize()
         if not isinstance(need, int):
             need = need.evaluate(symbols)

@@ -190,6 +190,3 @@ class Machine:
             for (bid, _), buf in self._shared.items()
             if bid == block
         )
-
-    def register_values(self, block: int, thread: int, name: str) -> Optional[np.ndarray]:
-        return self._regs.get((block, thread, name))

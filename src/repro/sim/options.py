@@ -1,10 +1,10 @@
 """The one run-options surface for simulated launches.
 
-``Simulator.run``, the tuner gate and the conformance harness all used
-to grow their own keyword lists (``sanitize=``, ``profile=``, ``seed=``,
-...).  :class:`RunOptions` is the single carrier: construct one and hand
-it to any of them.  The legacy keywords remain accepted for one release
-and are mapped explicitly onto an options value via :func:`resolve_run_options`
+``Simulator.run``, the tuner gate, the conformance harness, the
+network executor and the serve layer all take one :class:`RunOptions`
+value.  ``Simulator.run`` also accepts ``sanitize=``/``profile=``/
+``engine=`` keywords (``CapturedGraph.replay`` the first two), which
+:func:`resolve_run_options` applies on top of the options value by name
 — never through ``**kwargs``.
 """
 
@@ -30,15 +30,11 @@ class RunOptions:
       :mod:`repro.sim.plan`; the default) or ``"reference"`` (the scalar
       interpreter).  Both are bit-identical; the reference engine exists
       as the semantics ground truth and cross-check target.
-    * ``seed`` — RNG seed for callers that generate problem data (the
-      tuner gate and the conformance harness); ``Simulator.run`` itself
-      draws no random numbers and ignores it.
     """
 
     sanitize: Union[bool, str] = False
     profile: bool = False
     engine: str = "vectorized"
-    seed: int = 0
 
     def __post_init__(self):
         if self.engine not in ENGINES:
@@ -46,9 +42,9 @@ class RunOptions:
                 f"unknown engine {self.engine!r}; expected one of {ENGINES}"
             )
 
-    def merged(self, *, sanitize=None, profile=None, engine=None,
-               seed=None) -> "RunOptions":
-        """A copy with any explicitly-given legacy keyword applied."""
+    def merged(self, *, sanitize=None, profile=None,
+               engine=None) -> "RunOptions":
+        """A copy with any explicitly-given keyword applied."""
         changes = {}
         if sanitize is not None:
             changes["sanitize"] = sanitize
@@ -56,8 +52,6 @@ class RunOptions:
             changes["profile"] = profile
         if engine is not None:
             changes["engine"] = engine
-        if seed is not None:
-            changes["seed"] = seed
         return replace(self, **changes) if changes else self
 
 
@@ -67,9 +61,8 @@ def resolve_run_options(
     sanitize=None,
     profile=None,
     engine=None,
-    seed=None,
 ) -> RunOptions:
-    """Merge an optional :class:`RunOptions` with legacy keywords.
+    """Merge an optional :class:`RunOptions` with keyword overrides.
 
     Explicit keywords win over the options value (so call sites can
     share one options object and override a single knob).
@@ -79,8 +72,7 @@ def resolve_run_options(
         raise TypeError(
             f"options must be a RunOptions, got {type(base).__name__}"
         )
-    return base.merged(sanitize=sanitize, profile=profile, engine=engine,
-                       seed=seed)
+    return base.merged(sanitize=sanitize, profile=profile, engine=engine)
 
 
 __all__ = ["RunOptions", "resolve_run_options", "ENGINES"]

@@ -150,13 +150,23 @@ class ViewPlan:
 class GroupPlan:
     """One lane group of a spec: its lanes and per-view plans."""
 
-    __slots__ = ("lanes", "lane_arr", "nlanes", "_views")
+    __slots__ = ("lanes", "lane_arr", "nlanes", "_views", "_lead")
 
     def __init__(self, lanes):
         self.lanes = list(lanes)
         self.lane_arr = np.asarray(self.lanes, dtype=np.int64)
         self.nlanes = len(self.lanes)
         self._views: Dict[int, ViewPlan] = {}
+        self._lead: Optional["GroupPlan"] = None
+
+    @property
+    def lead(self) -> "GroupPlan":
+        """The group's first lane alone: it issues the operations a
+        collective performs once for the whole group (warpgroup
+        shared-tile reads, TMA copies), so their views hold one row."""
+        if self._lead is None:
+            self._lead = GroupPlan(self.lanes[:1])
+        return self._lead
 
     def view(self, tensor) -> ViewPlan:
         vp = self._views.get(id(tensor))
@@ -358,6 +368,8 @@ class _MmaAux:
     The fragment coordinate functions are pure, so the scatter/gather
     indices of every lane's registers are computed once here; execution
     is then three bulk scatters, one ``a @ b + c``, and one gather.
+    A warpgroup mma reads A and B as whole shared-memory tiles, so its
+    semantics have no A/B coordinates and only C gets a map.
     """
 
     __slots__ = ("sem", "a_tiles", "b_tiles", "c_tiles", "a_idx", "b_idx",
@@ -371,6 +383,8 @@ class _MmaAux:
         m, n, k = sem.shape
 
         def index_map(tiles, coord, ncols):
+            if coord is None:
+                return None
             width = sum(_view_size(v) for v in tiles)
             idx = np.empty((sem.group, width), dtype=np.int64)
             for li in range(sem.group):
@@ -547,18 +561,9 @@ def _run_mma(run, sp, gp, env, preds):
         )
     rows = run.all_rows(gp)
     read_entries = []
-
-    def gather(tiles):
-        parts = []
-        for view in tiles:
-            vals, ent = run.read_bulk(gp.view(view), env, rows)
-            read_entries.append(ent)
-            parts.append(vals)
-        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-
-    a_vals = gather(aux.a_tiles)
-    b_vals = gather(aux.b_tiles)
-    c_vals = gather(aux.c_tiles)
+    a_vals = _gather_tiles(run, gp, env, aux.a_tiles, rows, read_entries)
+    b_vals = _gather_tiles(run, gp, env, aux.b_tiles, rows, read_entries)
+    c_vals = _gather_tiles(run, gp, env, aux.c_tiles, rows, read_entries)
     m, n, k = sem.shape
     a = np.zeros(m * k, dtype=np.float32)
     b = np.zeros(k * n, dtype=np.float32)
@@ -567,15 +572,8 @@ def _run_mma(run, sp, gp, env, preds):
     b[aux.b_idx] = b_vals
     c[aux.c_idx] = c_vals
     d = a.reshape(m, k) @ b.reshape(k, n) + c.reshape(m, n)
-    d_vals = d.reshape(-1)[aux.c_idx]
-    write_entries = []
-    pos = 0
-    for view, size in zip(aux.c_tiles, aux.c_sizes):
-        write_entries.append(
-            run.write_bulk(gp.view(view), env, rows,
-                           d_vals[:, pos:pos + size])
-        )
-        pos += size
+    write_entries = _scatter_c(run, gp, env, aux, rows,
+                               d.reshape(-1)[aux.c_idx])
     run.emit(gp, rows, read_entries)
     run.emit(gp, rows, write_entries)
 
@@ -605,6 +603,85 @@ def _run_ldmatrix(run, sp, gp, env, preds):
     run.emit(gp, rows, write_entries)
 
 
+def _gather_tiles(run, gp, env, tiles, rows, entries):
+    """Gather ``rows`` lanes' fragment over ``tiles``, tile-major."""
+    parts = []
+    for view in tiles:
+        vals, ent = run.read_bulk(gp.view(view), env, rows)
+        entries.append(ent)
+        parts.append(vals)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+
+
+def _scatter_c(run, gp, env, aux, rows, d_vals):
+    """Scatter ``rows`` lanes' result fragment into C, tile-major."""
+    entries = []
+    pos = 0
+    for view, size in zip(aux.c_tiles, aux.c_sizes):
+        entries.append(run.write_bulk(gp.view(view), env, rows,
+                                      d_vals[:, pos:pos + size]))
+        pos += size
+    return entries
+
+
+def _run_wgmma(run, sp, gp, env, preds):
+    aux = sp.aux
+    sem = aux.sem
+    if gp.nlanes != sem.group:
+        raise ValueError(
+            f"wgmma expects {sem.group} cooperating lanes, got {gp.nlanes}"
+        )
+    spec = sp.spec
+    m, n, k = sem.shape
+    lead = gp.lead
+    lead_rows = run.all_rows(lead)
+    a, a_ent = run.read_bulk(lead.view(spec.a), env, lead_rows)
+    b, b_ent = run.read_bulk(lead.view(spec.b), env, lead_rows)
+    rows = run.all_rows(gp)
+    read_entries = []
+    c_vals = _gather_tiles(run, gp, env, aux.c_tiles, rows, read_entries)
+    c = np.zeros(m * n, dtype=np.float32)
+    c[aux.c_idx] = c_vals
+    d = (a[0].reshape((m, k), order="F").astype(np.float32)
+         @ b[0].reshape((k, n), order="F").astype(np.float32)
+         + c.reshape(m, n))
+    write_entries = _scatter_c(run, gp, env, aux, rows,
+                               d.reshape(-1)[aux.c_idx])
+    run.emit(gp, lead_rows, (a_ent, b_ent))
+    run.emit(gp, rows, read_entries)
+    run.emit(gp, rows, write_entries)
+
+
+def _run_tma(run, sp, gp, env, preds):
+    # One descriptor-driven tile copy issued by the lead lane, booked as
+    # bulk traffic (no shared-memory bank path) and committed against
+    # the block's TMA ledger until the next barrier drains it.
+    spec = sp.spec
+    lead = gp.lead
+    rows = run.all_rows(lead)
+    vals, read_ent = run.read_bulk(lead.view(spec.src), env, rows,
+                                   bulk=True)
+    write_ent = run.write_bulk(lead.view(spec.dst), env, rows, vals,
+                               bulk=True)
+    run.emit(gp, rows, (read_ent, write_ent))
+    run.tma_commit()
+
+
+def _run_sparse24(run, sp, gp, env, preds):
+    from ..arch.instructions import sparse24_expand
+
+    spec = sp.spec
+    comp, meta = spec.inputs
+    lead = gp.lead
+    rows = run.all_rows(lead)
+    comp_vals, comp_ent = run.read_bulk(lead.view(comp), env, rows)
+    meta_vals, meta_ent = run.read_bulk(lead.view(meta), env, rows)
+    dense = sparse24_expand(comp, comp_vals[0], meta_vals[0])
+    write_ent = run.write_bulk(lead.view(spec.outputs[0]), env, rows,
+                               dense[None, :])
+    run.emit(gp, rows, (comp_ent, meta_ent, write_ent))
+
+
 #: Scalar executor -> vectorized runner, built lazily because
 #: :mod:`repro.arch.instructions` itself imports :mod:`repro.sim` (this
 #: package) for :class:`ExecCtx` and is mid-initialization when this
@@ -626,6 +703,8 @@ def _runner_tables():
             X.exec_thread_reduction: _run_reduction,
             X.exec_thread_init: _run_init,
             X.exec_shfl_bfly: _run_shfl,
+            X.exec_tma_bulk_g2s: _run_tma,
+            X.exec_sparse24_decompress: _run_sparse24,
         }
         _MMA_SEMANTICS = {
             X.exec_mma_16816:
@@ -654,6 +733,8 @@ def _select_runner(spec, atomic):
     if runner is not None:
         return runner, None
     instruction = atomic.instruction or ""
+    if instruction.startswith("wgmma."):
+        return _run_wgmma, _MmaAux(spec, ptx.semantics_for(instruction))
     if instruction.startswith("ldmatrix.sync.aligned.m8n8"):
         return _run_ldmatrix, _LdmatrixAux(
             spec, ptx.semantics_for(instruction))
@@ -699,6 +780,13 @@ def _charge_refs(pending):
             if entry is not None:
                 refs.append((entry[5], entry[6]))
     return refs
+
+
+#: Emission-entry kind -> the access kind the sanitizer sees (TMA bulk
+#: traffic is an ordinary read/write to it; only the profiler tells
+#: them apart).
+_SANITIZER_KIND = {"read": "read", "write": "write",
+                   "bulk_read": "read", "bulk_write": "write"}
 
 
 class _Replay:
@@ -759,6 +847,9 @@ class _Replay:
 
     def block_active(self, env, preds):
         return self._active(self.all_lanes, env, preds)
+
+    def tma_commit(self):
+        self.machine.tma_commit(self.bid)
 
     # -- spec dispatch ---------------------------------------------------------
     def exec_spec(self, sp, env, preds):
@@ -834,13 +925,14 @@ class _Replay:
         sp.runner(self, sp, gp, env, preds)
 
     # -- bulk element transfer -------------------------------------------------
-    def read_bulk(self, vp, env, rows, fill=0):
+    def read_bulk(self, vp, env, rows, fill=0, bulk=False):
         """Gather ``rows`` lanes' view elements; returns (values, entry).
 
         The returned emission entry carries the raw offsets/mask for
         the observer feed; buffer growth, zero-substitution of masked
         offsets, fill values and the bank-model feed all match the
-        reference ``ExecCtx.read`` exactly.
+        reference ``ExecCtx.read`` exactly, ``bulk`` included (TMA
+        traffic: profiled as bulk, no bank-model feed).
         """
         offs, mask = vp.offsets_mask(env)
         take_all = rows is self._aranges.get(offs.shape[0])
@@ -863,17 +955,18 @@ class _Replay:
                 self.bid, 0, int(offs_eff.max()) + 1,
             )
             values = buf[offs_eff]
-            if vp.is_sh:
+            if vp.is_sh and not bulk:
                 self.machine.bank_model.record_batch(offs_eff * vp.itemsize)
         if mask_sel is not None:
             values = np.where(mask_sel, values, fill).astype(buf.dtype)
         if self._trace is not None:
             self._trace.on_read(vp, offs_eff, mask_sel,
-                                lane_ids if vp.is_rf else None, fill)
-        return values, (vp.tensor, "read", offs_sel, mask_sel, rows,
-                        offs, mask)
+                                lane_ids if vp.is_rf else None, fill,
+                                vp.is_sh and not bulk)
+        return values, (vp.tensor, "bulk_read" if bulk else "read",
+                        offs_sel, mask_sel, rows, offs, mask)
 
-    def write_bulk(self, vp, env, rows, values):
+    def write_bulk(self, vp, env, rows, values, bulk=False):
         """Scatter ``values`` to ``rows`` lanes' view elements.
 
         Fully-guarded-out lanes are dropped before any buffer or bank
@@ -884,6 +977,7 @@ class _Replay:
         offs, mask = vp.offsets_mask(env)
         take_all = rows is self._aranges.get(offs.shape[0])
         offs_sel = offs if take_all else offs[rows]
+        kind = "bulk_write" if bulk else "write"
         if vp.tensor.dtype.quantize is not None:
             values = vp.tensor.dtype.quantize(
                 np.asarray(values, dtype=np.float32))
@@ -904,12 +998,13 @@ class _Replay:
                     int(offs_sel.max()) + 1,
                 )
                 buf[offs_sel] = values.astype(buf.dtype, copy=False)
-                if vp.is_sh:
+                if vp.is_sh and not bulk:
                     self.machine.bank_model.record_batch(
                         offs_sel * vp.itemsize)
             if self._trace is not None:
-                self._trace.on_write_plain(vp, offs_sel, lane_ids)
-            return (tensor, "write", offs_sel, None, rows, offs, mask)
+                self._trace.on_write_plain(vp, offs_sel, lane_ids,
+                                           vp.is_sh and not bulk)
+            return (tensor, kind, offs_sel, None, rows, offs, mask)
         mask_sel = mask if take_all else mask[rows]
         keep = mask_sel.any(axis=1)
         if not keep.any():
@@ -941,12 +1036,13 @@ class _Replay:
                 int(flat_offs.max()) + 1,
             )
             buf[flat_offs] = flat_vals
-            if vp.is_sh:
+            if vp.is_sh and not bulk:
                 self.machine.bank_model.record_batch(offs_sel * vp.itemsize)
         if self._trace is not None:
             self._trace.on_write_masked(vp, offs_sel, mask_sel, keep,
-                                        flat_offs, lane_mat)
-        return (tensor, "write", offs_sel, mask_sel, rows, offs, mask)
+                                        flat_offs, lane_mat,
+                                        vp.is_sh and not bulk)
+        return (tensor, kind, offs_sel, mask_sel, rows, offs, mask)
 
     # -- observer feed ---------------------------------------------------------
     def emit(self, gp, master_rows, entries):
@@ -986,6 +1082,7 @@ class _Replay:
                 tensor, kind, offs_sel, mask_sel, rows = entry[:5]
                 mem, buffer = tensor.mem, tensor.buffer
                 nbytes = tensor.dtype.bytes
+                san_kind = _SANITIZER_KIND[kind]
                 for i, r in enumerate(rows):
                     lane = lanes[int(r)]
                     row = offs_sel[i]
@@ -993,7 +1090,7 @@ class _Replay:
                     if live.size == 0:
                         continue
                     if san is not None:
-                        san.record(tensor, bid, lane, live, kind)
+                        san.record(tensor, bid, lane, live, san_kind)
                     if records is not None:
                         records.append(
                             (mem, buffer, nbytes, kind, lane, live))
@@ -1011,13 +1108,13 @@ class _Replay:
                 }
                 prepared.append((tensor, kind, offs_sel, mask_sel, rowmap,
                                  tensor.mem, tensor.buffer,
-                                 tensor.dtype.bytes))
+                                 tensor.dtype.bytes, _SANITIZER_KIND[kind]))
             if not prepared:
                 continue
             for pos, r in enumerate(master_rows):
                 lane = lanes[int(r)]
                 for (tensor, kind, offs_sel, mask_sel, rowmap,
-                     mem, buffer, nbytes) in prepared:
+                     mem, buffer, nbytes, san_kind) in prepared:
                     if rowmap is None:
                         i = pos
                     else:
@@ -1029,7 +1126,7 @@ class _Replay:
                     if live.size == 0:
                         continue
                     if san is not None:
-                        san.record(tensor, bid, lane, live, kind)
+                        san.record(tensor, bid, lane, live, san_kind)
                     if records is not None:
                         records.append(
                             (mem, buffer, nbytes, kind, lane, live))

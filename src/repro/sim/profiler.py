@@ -61,31 +61,15 @@ SMEM_WAVEFRONT_BYTES = SMEM_BANKS * SMEM_BANK_BYTES
 WARP_SIZE = 32
 
 
-def split_segments(offsets: Sequence[int], itemsize: int) -> List[List[int]]:
-    """Split one lane's element offsets into vectorizable segments.
+def _segment_runs(offsets, itemsize: int) -> List[Tuple[int, int]]:
+    """Split one lane's element offsets into ``(first_offset, length)``
+    vectorizable segments.
 
     A segment is a run of consecutive element offsets no wider than
-    :data:`MAX_VECTOR_BYTES`; each segment is one load/store the lane
-    issues, so a strided access degenerates into per-element segments.
-    """
-    segments: List[List[int]] = []
-    max_elems = max(1, MAX_VECTOR_BYTES // itemsize)
-    for off in offsets:
-        if (segments and off == segments[-1][-1] + 1
-                and len(segments[-1]) < max_elems):
-            segments[-1].append(off)
-        else:
-            segments.append([off])
-    return segments
-
-
-def _segment_runs(offsets, itemsize: int) -> List[Tuple[int, int]]:
-    """:func:`split_segments`, compactly: ``(first_offset, length)`` runs.
-
-    Segments are runs of *consecutive* offsets, so only the first offset
-    and the element count are needed for sector/bank accounting.  The
-    greedy cap at :data:`MAX_VECTOR_BYTES` matches ``split_segments``
-    exactly.
+    :data:`MAX_VECTOR_BYTES`, greedily capped; each segment is one
+    load/store the lane issues, so a strided access degenerates into
+    per-element segments.  Only the first offset and the element count
+    are needed for sector/bank accounting.
     """
     max_elems = max(1, MAX_VECTOR_BYTES // itemsize)
     arr = np.asarray(offsets)
@@ -301,10 +285,6 @@ class KernelProfile:
     @property
     def bulk_bytes(self) -> int:
         return self._total("bulk_bytes")
-
-    @property
-    def barrier_count(self) -> int:
-        return sum(self.barriers.values())
 
     @property
     def occupancy(self) -> float:

@@ -179,32 +179,33 @@ class _TraceRecorder:
     def on_rows(self, rows) -> None:
         self.leaves[-1].rows = rows
 
-    def on_read(self, vp, offs_eff, mask_sel, lane_ids, fill) -> None:
+    def on_read(self, vp, offs_eff, mask_sel, lane_ids, fill,
+                bank) -> None:
         if fill != 0:
             raise _Untraceable("read with a non-zero guard fill")
         index = ((lane_ids[:, None], offs_eff) if lane_ids is not None
                  else offs_eff)
         self._ops.append(
             _ReadOp(_op_space(vp), vp.tensor.buffer, index, mask_sel))
-        if vp.is_sh:
+        if bank:
             self.bank.record_batch(offs_eff * vp.itemsize)
 
-    def on_write_plain(self, vp, offs_sel, lane_ids) -> None:
+    def on_write_plain(self, vp, offs_sel, lane_ids, bank) -> None:
         index = ((lane_ids[:, None], offs_sel) if lane_ids is not None
                  else offs_sel)
         self._ops.append(
             _WriteOp(_op_space(vp), vp.tensor.buffer, index))
-        if vp.is_sh:
+        if bank:
             self.bank.record_batch(offs_sel * vp.itemsize)
 
     def on_write_masked(self, vp, offs_sel, mask_sel, keep,
-                        flat_offs, lane_mat) -> None:
+                        flat_offs, lane_mat, bank) -> None:
         index = (lane_mat, flat_offs) if lane_mat is not None else flat_offs
         self._ops.append(_MaskedWriteOp(
             _op_space(vp), vp.tensor.buffer, index,
             None if keep.all() else keep, offs_sel.shape, mask_sel,
         ))
-        if vp.is_sh:
+        if bank:
             self.bank.record_batch(offs_sel * vp.itemsize)
 
     def on_write_skip(self) -> None:
@@ -264,12 +265,12 @@ class _TraceReplay:
     def active_rows(self, gp, env, preds):
         return self._leaf.rows
 
-    def read_bulk(self, vp, env, rows, fill=0):
+    def read_bulk(self, vp, env, rows, fill=0, bulk=False):
         op = self._leaf.ops[self._cursor]
         self._cursor += 1
         return op.gather(), None
 
-    def write_bulk(self, vp, env, rows, values):
+    def write_bulk(self, vp, env, rows, values, bulk=False):
         op = self._leaf.ops[self._cursor]
         self._cursor += 1
         op.scatter(np.asarray(values))
@@ -279,6 +280,10 @@ class _TraceReplay:
         pass
 
     def emit_entry_order(self, gp, entry):
+        pass
+
+    def tma_commit(self):
+        # Barriers are not replayed, so there is no TMA ledger to keep.
         pass
 
 

@@ -6,11 +6,9 @@ Usage::
     python -m repro.tuner layernorm --rows 12288 --hidden 1024
     python -m repro.tuner mlp --m 4096 --hidden 128 --layers 20
     python -m repro.tuner fmha --batch-heads 16 --seq 512 --head-dim 64
-    python -m repro.tuner tune-all --workers 4 --transfer
 
-``tune-all`` sweeps every registered family over the benchmark roster
-three ways (serial / parallel fleet / parallel+transfer) and writes
-``BENCH_tuner.json``; see :mod:`repro.eval.tuner_bench`.
+The whole-roster sweep (serial / parallel fleet / parallel+transfer)
+is ``python -m repro.eval tuner-bench``; see :mod:`repro.eval.tuner_bench`.
 """
 
 from __future__ import annotations
@@ -40,10 +38,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.tuner",
         description="Search a kernel family's Graphene decomposition "
         "space; rank with the performance model; verify the winners in "
-        "the functional simulator.  'tune-all' benchmarks the whole "
-        "roster (serial vs fleet vs fleet+transfer).",
+        "the functional simulator.",
     )
-    parser.add_argument("family", choices=sorted(SPACES) + ["tune-all"])
+    parser.add_argument("family", choices=sorted(SPACES))
     parser.add_argument("--arch", default="sm86",
                         help="ampere/sm86 or volta/sm70 (default sm86)")
     parser.add_argument("--m", type=int, help="GEMM/MLP/LSTM rows")
@@ -83,10 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--block-tiles", type=str, default=None,
                         help="restrict GEMM block tiles, e.g. "
                         "'128x128x32,64x64x32'")
-    parser.add_argument("--out-dir", default="bench_artifacts",
-                        help="tune-all: artifact directory")
-    parser.add_argument("--quick", action="store_true",
-                        help="tune-all: the reduced smoke roster")
     return parser
 
 
@@ -153,41 +146,9 @@ def _format_leaderboard(result, rows_shown: int) -> str:
     return "\n".join(lines)
 
 
-def _main_tune_all(args) -> int:
-    from ..eval.tuner_bench import run_tuner_bench
-
-    workers = args.workers if args.workers > 1 else None
-    path = run_tuner_bench(
-        arch=args.arch, workers=workers, outdir=args.out_dir,
-        quick=args.quick, seed=args.seed, transfer=True,
-    )
-    import json
-
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    modes = payload["modes"]
-    print(f"tune-all over {payload['families']} families "
-          f"({payload['tuned_shapes']} shapes) on {payload['arch']}, "
-          f"{payload['workers']} workers")
-    print(f"  serial:            {modes['serial']['wall_seconds']:8.2f}s")
-    print(f"  parallel:          {modes['parallel']['wall_seconds']:8.2f}s "
-          f"(identical to serial: "
-          f"{modes['parallel']['identical_to_serial']})")
-    print(f"  parallel+transfer: "
-          f"{modes['parallel_transfer']['wall_seconds']:8.2f}s")
-    print(f"speedup vs serial: "
-          f"{payload['speedup_parallel_transfer_vs_serial']}x "
-          f"(target {payload['target_speedup']}x, "
-          f"meets: {payload['meets_target']})")
-    print(f"wrote {path}")
-    return 0 if payload["meets_target"] else 1
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.family == "tune-all":
-            return _main_tune_all(args)
         arch = resolve_arch(args.arch)
         space_kwargs = {}
         if args.family == "gemm" and args.block_tiles:

@@ -3,7 +3,7 @@
 :mod:`repro.tuner.space` declares the three original spaces (GEMM,
 layernorm, fused MLP); this module completes the roster so every
 conformance family (:data:`repro.conformance.FAMILIES`) is tunable and
-the fleet driver's ``tune-all`` sweep covers the whole kernel library.
+the fleet benchmark's roster sweep covers the whole kernel library.
 Each space follows the same contract: enumerate candidates the
 builder's own validity predicates accept, build IR at any problem
 scale, and pose the small-shape numpy verification problem the
@@ -432,7 +432,7 @@ class GemmEpilogueSpace(ConfigSpace):
 class MovesSpace(ConfigSpace):
     """The ldmatrix data-movement microkernel.  Its decomposition is
     fixed by the instruction (a warp loading four 8x8 fragments), so
-    the space is a single point — kept so the ``tune-all`` sweep and
+    the space is a single point — kept so the roster sweep and
     the fleet differential tests cover every conformance family."""
 
     family = "moves"

@@ -15,6 +15,7 @@ from repro.eval.bench_smoke import (
     run_plan_compile_bench, run_sim_speed_bench, smoke_families,
     time_engines,
 )
+from tests.eval import assert_header
 
 
 def test_single_family_artifact(tmp_path):
@@ -27,6 +28,7 @@ def test_single_family_artifact(tmp_path):
     assert artifact["measured"]["global_load_bytes"] > 0
     assert artifact["modelled"]["dram_read_bytes"] > 0
     assert artifact["checks"], "artifact must carry its drift checks"
+    assert_header(artifact)
 
 
 def test_unknown_family_rejected(tmp_path):
@@ -62,6 +64,7 @@ def test_sim_speed_artifact(tmp_path):
     assert row["figure"] == "fig13"
     assert row["reference_s"] > 0 and row["vectorized_warm_s"] > 0
     assert artifact["summary"]["min_speedup_warm"] == row["speedup_warm"]
+    assert_header(artifact, repeats=2)
 
 
 def test_plan_compile_artifact(tmp_path):
@@ -76,6 +79,7 @@ def test_plan_compile_artifact(tmp_path):
     assert row["total_accessors"] >= row["linear_accessors"] >= 0
     assert len(artifact["probes"]) == 3
     assert artifact["summary"]["total_accessors"] == row["total_accessors"]
+    assert_header(artifact, repeats=2)
 
 
 def test_linear_index_compile_not_slower_on_large_views():
@@ -95,6 +99,7 @@ def test_full_smoke_sweep(tmp_path):
     for path in paths:
         artifact = json.loads(open(path).read())
         assert artifact.get("passed", True) is True, path
+        assert "header" in artifact, path
 
 
 @pytest.mark.slow

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.eval.graph_bench import BENCH_NETWORKS, SCHEMA, run_graph_bench
+from tests.eval import assert_header
 
 pytestmark = pytest.mark.graph
 
@@ -28,6 +29,7 @@ class TestGraphBench:
         from repro.tuner import resolve_arch
 
         assert payload["schema"] == SCHEMA
+        assert_header(payload)
         assert payload["arch"] == resolve_arch("ampere").name
         assert payload["passed"] is True
         (row,) = payload["networks"]

@@ -3,7 +3,7 @@
 Two tiers: the default tier pins the *committed* artifact (the fleet
 must be bit-identical to serial, and parallel+transfer must beat the
 serial sweep), plus parser wiring; the slow tier re-runs the reduced
-tune-all roster end to end.
+roster end to end.
 """
 
 import json
@@ -15,6 +15,7 @@ from repro.eval.tuner_bench import (
     TARGET_SPEEDUP, run_tuner_bench, tune_all_roster,
 )
 from repro.tuner import SPACES
+from tests.eval import assert_header
 
 pytestmark = pytest.mark.tuner
 
@@ -95,10 +96,15 @@ class TestCliWiring:
         assert args.quick and args.workers == 3
 
     def test_tuner_parser_accepts_tune_all_and_all_families(self):
+        """Every family parses; ``tune-all`` no longer does (the roster
+        sweep is ``python -m repro.eval tuner-bench`` only)."""
         from repro.tuner.__main__ import build_parser
 
-        for family in sorted(SPACES) + ["tune-all"]:
+        for family in sorted(SPACES):
             assert build_parser().parse_args([family]).family == family
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["tune-all"])
+        assert exc.value.code == 2
 
     def test_tuner_parser_accepts_fleet_flags(self):
         from repro.tuner.__main__ import build_parser
@@ -109,7 +115,7 @@ class TestCliWiring:
 
 
 @pytest.mark.slow
-class TestTuneAllSmoke:
+class TestTunerBenchSmoke:
     def test_quick_roster_end_to_end(self, tmp_path):
         path = run_tuner_bench(workers=2, outdir=str(tmp_path), quick=True)
         with open(path, encoding="utf-8") as fh:
@@ -120,3 +126,4 @@ class TestTuneAllSmoke:
         assert transfer["wall_seconds"] < \
             payload["modes"]["serial"]["wall_seconds"]
         assert transfer["transfer_hit_rate_per_family"]
+        assert_header(payload)

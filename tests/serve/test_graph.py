@@ -46,6 +46,8 @@ def test_replay_bit_identical_to_simulator(name):
     case = _case(name)
     graph = CapturedGraph.capture(case.kernel, case.arch, case.symbols,
                                   _copies(case.arrays))
+    # Every shipped family, Hopper's wgmma/TMA/2:4 included, is traced.
+    assert graph.trace is not None
     ref = Simulator(case.arch).run(
         case.kernel, _copies(case.arrays), symbols=case.symbols,
         options=RunOptions(engine="vectorized"))

@@ -120,6 +120,24 @@ def test_short_binding_fails_the_request_cleanly(catalog):
     assert server.metrics.requests_failed == 1
 
 
+@pytest.mark.parametrize("corrupt, match", [
+    (lambda b: {"A": b["A"].astype(np.float64)},
+     r"'A' has dtype float64; the parameter is float16"),
+    (lambda b: {"Z": b["A"].copy()}, r"bindings \['Z'\] name no parameter"),
+], ids=["dtype", "unknown"])
+def test_mistyped_binding_fails_the_request_cleanly(catalog, corrupt, match):
+    """A gemm input of the wrong dtype, or one under a name the kernel
+    lacks, fails the request with a SimulationError naming it instead
+    of serving a silently wrong answer."""
+    fam = _family(catalog, "gemm")
+    bindings = fam.make_bindings(np.random.default_rng(0))
+    with KernelServer([fam], options=RunOptions(sanitize=True)) as server:
+        future = server.submit(fam.name, {**bindings, **corrupt(bindings)})
+        with pytest.raises(SimulationError, match=match):
+            future.result(timeout=60)
+    assert server.metrics.requests_failed == 1
+
+
 def test_respelled_families_share_one_graph_entry():
     """Two families whose kernels spell the same layout differently
     (flat vs nested modes — identical offset sequences) dedupe onto a

@@ -55,19 +55,29 @@ class TestBasics:
         with pytest.raises(SimulationError, match="missing binding"):
             Simulator(AMPERE).run(kb.build(), {})
 
-    @pytest.mark.parametrize("engine", ["vectorized", "reference"])
-    def test_short_binding_raises(self, engine):
+    @pytest.mark.parametrize("engine, bad, match", [
+        pytest.param(engine, bad, match, id=engine + suffix)
+        for suffix, bad, match in [
+            ("", {"x": np.zeros(5, np.float32)},
+             r"'x' has 5 elements; its layout needs 8"),
+            ("-dtype", {"x": np.zeros(8, np.float64)},
+             r"'x' has dtype float64; the parameter is float32"),
+            ("-unknown", {"z": np.zeros(8, np.float32)},
+             r"bindings \['z'\] name no parameter of 'copy'"),
+        ]
+        for engine in ("vectorized", "reference")
+    ])
+    def test_short_binding_raises(self, engine, bad, match):
         kb = KernelBuilder("copy", (1,), (8,))
         x = kb.param("x", (8,), FP32)
         y = kb.param("y", (8,), FP32)
         t = Var("threadIdx.x")
         kb.move(x.tile((1,))[t], y.tile((1,))[t])
-        with pytest.raises(SimulationError,
-                           match=r"'x' has 5 elements; its layout needs 8"):
-            Simulator(AMPERE).run(
-                kb.build(), {"x": np.zeros(5, np.float32),
-                             "y": np.zeros(8, np.float32)},
-                sanitize=True, engine=engine)
+        bindings = {"x": np.zeros(8, np.float32),
+                    "y": np.zeros(8, np.float32), **bad}
+        with pytest.raises(SimulationError, match=match):
+            Simulator(AMPERE).run(kb.build(), bindings, sanitize=True,
+                                  engine=engine)
 
     def test_short_binding_checked_under_launch_symbols(self):
         kb = KernelBuilder("k", (1,), (1,))

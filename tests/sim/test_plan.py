@@ -16,7 +16,12 @@ import numpy as np
 import pytest
 
 from repro.conformance.harness import Case, default_cases
-from repro.kernels import LayernormConfig, NaiveGemmConfig, SoftmaxConfig, build
+from repro.arch import HOPPER
+from repro.kernels import (
+    HopperFp8GemmConfig, LayernormConfig, NaiveGemmConfig, SoftmaxConfig,
+    Sparse24GemmConfig, build,
+)
+from repro.kernels.hopper import random_sparse24
 from repro.library import funcs
 from repro.sim import (
     LaunchPlan, PlanCache, RunOptions, Simulator, kernel_fingerprint,
@@ -24,6 +29,7 @@ from repro.sim import (
 )
 from repro.sim.profiler import SpecCounters
 from repro.sim.sanitizer import verdict
+from repro.tensor.dtypes import FP8E4M3
 
 CASES = {c.name: c for c in default_cases()}
 
@@ -96,6 +102,34 @@ class TestRacyMutants:
         case = CASES[name]
         mutant = Case(**{**case.__dict__, "kernel": strip_barriers(case.kernel)})
         _assert_engines_match(mutant)
+
+
+class TestHopperGrid:
+    """Two blocks read the same A tile through TMA: the sanitizer must
+    see those bulk copies as plain reads in both engines (a read booked
+    as a write would race across blocks)."""
+
+    def _case(self, family, rng):
+        m, n, k = 64, 128, 64
+        if family == "gemm_fp8":
+            a = FP8E4M3.quantize(rng.random((m, k)).astype(np.float32) - 0.5)
+            b = FP8E4M3.quantize(rng.random((k, n)).astype(np.float32) - 0.5)
+            kernel = build(HopperFp8GemmConfig(m=m, n=n, k=k, block_k=32))
+            arrays = {"A": a, "B": b}
+        else:
+            comp, meta, _ = random_sparse24(rng, m, k)
+            b = (rng.random((k, n)) - 0.5).astype(np.float16)
+            kernel = build(Sparse24GemmConfig(m=m, n=n, k=k, block_k=32))
+            arrays = {"A_comp": comp, "A_meta": meta, "B": b}
+        arrays["C"] = np.zeros((m, n), np.float16)
+        assert kernel.grid_size() == 2
+        return Case(name=f"{family}_2blocks", family=family, kernel=kernel,
+                    arrays=arrays, outputs=[], reference={}, tol=0.0,
+                    arch=HOPPER)
+
+    @pytest.mark.parametrize("family", ["gemm_fp8", "gemm_sparse24"])
+    def test_engines_match(self, family):
+        _assert_engines_match(self._case(family, np.random.default_rng(5)))
 
 
 # -- fuzz corpus --------------------------------------------------------------------

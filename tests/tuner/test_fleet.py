@@ -48,6 +48,12 @@ def _arch_for(family):
     return FAMILY_ARCH.get(family, ARCH)
 
 
+def _families(slow=()):
+    """Every family, with the ``slow`` ones moved to the slow tier."""
+    return [pytest.param(f, marks=pytest.mark.slow) if f in slow else f
+            for f in sorted(FAMILY_SHAPES)]
+
+
 def _board(result):
     """Everything observable about a search result."""
     return (
@@ -84,7 +90,8 @@ class TestLeaderboardIdentity:
     def test_covers_every_registered_family(self):
         assert set(FAMILY_SHAPES) == set(SPACES)
 
-    @pytest.mark.parametrize("family", sorted(FAMILY_SHAPES))
+    @pytest.mark.parametrize("family",
+                             _families(slow={"gemm", "gemm_epilogue"}))
     def test_exhaustive_identical(self, family):
         space = get_space(family)
         arch = _arch_for(family)
@@ -94,7 +101,7 @@ class TestLeaderboardIdentity:
             sharded = exhaustive_search(space, shape, arch, evaluator=fleet)
         assert _board(sharded) == _board(serial)
 
-    @pytest.mark.parametrize("family", sorted(FAMILY_SHAPES))
+    @pytest.mark.parametrize("family", _families(slow={"gemm"}))
     def test_beam_identical(self, family):
         space = get_space(family)
         arch = _arch_for(family)
