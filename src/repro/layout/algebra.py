@@ -14,14 +14,38 @@ dimensions separately via over-approximation and predication.
 
 from __future__ import annotations
 
+import functools
 from typing import List, Sequence, Tuple
 
 from . import inttuple as it
-from .layout import Layout
+from .layout import CACHE_SIZE, Layout, is_plain
 
 
 class LayoutAlgebraError(ValueError):
     """Raised when a layout operation is undefined for its operands."""
+
+
+def _memoized(body):
+    """Serve ``body`` from a bounded LRU cache keyed on its arguments.
+
+    Only plain-int layouts and ints are cache keys (see ``is_plain``);
+    any other argument runs ``body`` directly.  ``lru_cache`` stores no
+    exception, so an undefined operation raises on every call.
+    """
+    cached = functools.lru_cache(maxsize=CACHE_SIZE)(body)
+
+    @functools.wraps(body)
+    def lookup(*args, **kwargs):
+        if all(
+            type(a) is int or (type(a) is Layout and is_plain(a))
+            for a in args + tuple(kwargs.values())
+        ):
+            return cached(*args, **kwargs)
+        return body(*args, **kwargs)
+
+    lookup.cache_info = cached.cache_info
+    lookup.cache_clear = cached.cache_clear
+    return lookup
 
 
 def factor_offsets(offsets: Sequence[int]) -> Layout:
@@ -69,6 +93,7 @@ def factor_offsets(offsets: Sequence[int]) -> Layout:
     return Layout(tuple(shapes), tuple(strides))
 
 
+@_memoized
 def composition(lhs: Layout, rhs: Layout) -> Layout:
     """Functional composition ``R = lhs o rhs`` with ``R(c) = lhs(rhs(c))``.
 
@@ -90,6 +115,7 @@ def composition(lhs: Layout, rhs: Layout) -> Layout:
     return factor_offsets(offsets)
 
 
+@_memoized
 def complement(layout: Layout, cosize: int) -> Layout:
     """The layout covering ``[0, cosize)`` jointly with ``layout``.
 
@@ -130,6 +156,7 @@ def complement(layout: Layout, cosize: int) -> Layout:
     return Layout(tuple(shapes), tuple(strides))
 
 
+@_memoized
 def logical_divide(layout: Layout, tiler: Layout) -> Layout:
     """Divide a rank-1 ``layout`` by a ``tiler``: ``((tile), (rest))``.
 

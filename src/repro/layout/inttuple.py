@@ -22,7 +22,7 @@ IntTuple = Union[int, IntExpr, Tuple["IntTuple", ...]]
 
 def is_int(value: IntTuple) -> bool:
     """True for a leaf entry (a concrete or symbolic integer)."""
-    return isinstance(value, (int, IntExpr))
+    return type(value) is int or isinstance(value, (int, IntExpr))
 
 
 def is_tuple(value: IntTuple) -> bool:

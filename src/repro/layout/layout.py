@@ -9,6 +9,7 @@ the representation behind every Graphene tensor shape annotation
 
 from __future__ import annotations
 
+import functools
 from typing import Iterator, Optional, Tuple, Union
 
 from ..ir.expr import IntExpr
@@ -97,8 +98,9 @@ class Layout(PickleBySlots):
 
     def is_bijection(self) -> bool:
         """True when this (concrete) layout is a bijection onto [0, size)."""
-        offs = self.offsets()
-        return sorted(offs) == list(range(len(offs)))
+        if is_plain(self):
+            return _cached_is_bijection(self)
+        return _is_bijection(self)
 
     def is_injective(self) -> bool:
         offs = self.offsets()
@@ -166,8 +168,39 @@ class Layout(PickleBySlots):
         )
 
 
+def is_plain(layout: Layout) -> bool:
+    """True when every shape and stride leaf is a built-in ``int``.
+
+    Only such layouts key the shared layout caches.  ``Var`` compares by
+    name alone, so two symbolic layouts can be equal while their
+    variables carry different bounds; a ``bool`` leaf equals and hashes
+    like an ``int``.
+    """
+    return all(
+        type(v) is int
+        for v in it.flatten(layout.shape) + it.flatten(layout.stride)
+    )
+
+
+def _is_bijection(layout: Layout) -> bool:
+    offs = layout.offsets()
+    return sorted(offs) == list(range(len(offs)))
+
+
+# Entries each layout cache (this one and those in ``algebra``) may hold.
+# Layouts are immutable and compare by value, so a cached result can be
+# shared by every caller that passes an equal argument.
+CACHE_SIZE = 1024
+
+_cached_is_bijection = functools.lru_cache(maxsize=CACHE_SIZE)(_is_bijection)
+
+
 def _normalize(value) -> IntTuple:
     """Convert lists to tuples recursively and validate leaves."""
+    if type(value) is int:
+        return value
+    if type(value) is tuple and all(type(v) is int for v in value):
+        return value
     if isinstance(value, list):
         value = tuple(value)
     if it.is_int(value):

@@ -10,6 +10,7 @@ and layout pattern.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 from ..layout import inttuple as it
@@ -144,14 +145,24 @@ class AtomicSpec:
         raise AttributeError("AtomicSpec is immutable")
 
     def matches(self, spec: Spec) -> bool:
-        if spec.kind != self.kind:
-            return False
-        if spec.collective_width() != self.width:
-            return False
-        if len(spec.inputs) != len(self.in_patterns):
-            return False
-        if len(spec.outputs) != len(self.out_patterns):
-            return False
+        return self._admits(_spec_key(spec)) and self._matches_operands(spec)
+
+    def _admits(self, key: tuple) -> bool:
+        """True when this entry agrees with a ``_spec_key``: same kind,
+        width and arity, and no pattern pins a different memory space."""
+        kind, width, n_in, n_out, mems = key
+        return (
+            kind == self.kind
+            and width == self.width
+            and n_in == len(self.in_patterns)
+            and n_out == len(self.out_patterns)
+            and all(
+                p.mem is None or p.mem == mem
+                for p, mem in zip(self.in_patterns + self.out_patterns, mems)
+            )
+        )
+
+    def _matches_operands(self, spec: Spec) -> bool:
         operands = zip(
             spec.inputs + spec.outputs,
             self.in_patterns + self.out_patterns,
@@ -170,14 +181,47 @@ class AtomicMatchError(LookupError):
     """Raised when a leaf spec matches no atomic specification."""
 
 
+def _spec_key(spec: Spec) -> tuple:
+    """The part of ``spec`` an atomic's kind, width, arity and operand
+    memory spaces are checked against."""
+    return (
+        spec.kind,
+        spec.collective_width(),
+        len(spec.inputs),
+        len(spec.outputs),
+        tuple(t.mem for t in spec.inputs + spec.outputs),
+    )
+
+
+# Distinct atomic tables whose buckets are kept (one per architecture).
+_TABLE_CACHE_SIZE = 16
+
+
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _buckets(table: Tuple[AtomicSpec, ...]) -> dict:
+    """Spec key -> the entries of ``table`` admitting it, in table order.
+
+    Filled as keys are first seen.  A table is an immutable tuple, so a
+    bucket stays valid for as long as the table is cached.
+    """
+    return {}
+
+
 def match_atomic(spec: Spec, table: Sequence[AtomicSpec]) -> AtomicSpec:
     """Find the first atomic spec in ``table`` matching ``spec``.
 
     Tables are ordered most-specific-first (e.g. vectorized moves before
-    scalar fallbacks), mirroring instruction-selection priority.
+    scalar fallbacks), mirroring instruction-selection priority.  Only
+    the entries whose kind, width, arity and memory spaces agree with
+    ``spec`` are tried; they keep their table order.
     """
-    for atomic in table:
-        if atomic.matches(spec):
+    key = _spec_key(spec)
+    buckets = _buckets(tuple(table))
+    bucket = buckets.get(key)
+    if bucket is None:
+        bucket = buckets[key] = tuple(a for a in table if a._admits(key))
+    for atomic in bucket:
+        if atomic._matches_operands(spec):
             return atomic
     raise AtomicMatchError(
         f"no atomic specification matches leaf spec {spec!r}; "

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.ir.expr import Var
 from repro.layout import (
     Layout, LayoutAlgebraError, complement, composition, factor_offsets,
     logical_divide, logical_product, right_inverse,
@@ -196,3 +197,96 @@ def test_property_factor_offsets_needs_layout_structure(perm):
     except LayoutAlgebraError:
         return
     assert list(layout.offsets()) == seq
+
+
+# -- memoization ----------------------------------------------------------------
+
+_leaf_shapes = st.integers(min_value=1, max_value=4)
+_leaf_strides = st.integers(min_value=0, max_value=6)
+
+
+@st.composite
+def concrete_layouts(draw, max_modes=3):
+    """Random concrete layouts: flat or hierarchical modes, with size-1
+    modes and stride-0 (broadcast) modes among the draws."""
+    shapes, strides = [], []
+    for _ in range(draw(st.integers(min_value=1, max_value=max_modes))):
+        if draw(st.booleans()):
+            depth = draw(st.integers(min_value=1, max_value=2))
+            shapes.append(tuple(draw(_leaf_shapes) for _ in range(depth)))
+            strides.append(tuple(draw(_leaf_strides) for _ in range(depth)))
+        else:
+            shapes.append(draw(_leaf_shapes))
+            strides.append(draw(_leaf_strides))
+    if len(shapes) == 1:
+        return Layout(shapes[0], strides[0])
+    return Layout(tuple(shapes), tuple(strides))
+
+
+def _outcome(fn, *args):
+    """``fn``'s result, or the class of the error it raised."""
+    try:
+        return fn(*args)
+    except Exception as error:  # stride-0 complements divide by zero
+        return type(error)
+
+
+def _cached_equals_body(fn, *args):
+    first = _outcome(fn, *args)
+    again = _outcome(fn, *args)
+    fn.cache_clear()
+    assert first == again == _outcome(fn.__wrapped__, *args)
+
+
+@given(concrete_layouts(), concrete_layouts())
+def test_property_cached_composition_equals_body(lhs, rhs):
+    _cached_equals_body(composition, lhs, rhs)
+
+
+@given(concrete_layouts(), st.integers(min_value=1, max_value=64))
+def test_property_cached_complement_equals_body(layout, cosize):
+    _cached_equals_body(complement, layout, cosize)
+
+
+@given(concrete_layouts(max_modes=1), concrete_layouts())
+def test_property_cached_logical_divide_equals_body(layout, tiler):
+    _cached_equals_body(logical_divide, layout, tiler)
+
+
+class TestMemo:
+    def test_undefined_pair_raises_on_every_call(self):
+        before = complement.cache_info().currsize
+        for _ in range(3):
+            with pytest.raises(LayoutAlgebraError):
+                complement(Layout(3, 2), 7)
+        assert complement.cache_info().currsize == before
+
+    def test_divide_error_is_not_cached(self):
+        # [6:1] / [4:1] has no complement in [0, 6); tiling falls back
+        # to predication on this error, so it must repeat.
+        for _ in range(3):
+            with pytest.raises(LayoutAlgebraError):
+                logical_divide(Layout(6, 1), Layout(4, 1))
+
+    def test_symbolic_leaf_skips_cache(self):
+        lhs = Layout(Var("M"), 1)
+        before = composition.cache_info()
+        assert composition(lhs, Layout(4, 2)) == Layout(4, 2)
+        after = composition.cache_info()
+        assert after.currsize == before.currsize
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
+    def test_same_name_vars_with_other_bounds_never_served(self):
+        narrow = Layout(Var("M", 0, 8), 1)
+        wide = Layout(Var("M", 0, 64), 1)
+        assert narrow == wide  # Var equality ignores bounds
+        before = composition.cache_info()
+        for lhs in (narrow, wide, narrow):
+            assert composition(lhs, Layout(4, 2)) == Layout(4, 2)
+        assert composition.cache_info() == before
+
+    def test_repeated_pair_is_a_hit(self):
+        composition(Layout((4, 8), (8, 1)), Layout(8, 4))
+        before = composition.cache_info()
+        composition(Layout((4, 8), (8, 1)), Layout(8, 4))
+        assert composition.cache_info().hits == before.hits + 1

@@ -1,5 +1,6 @@
 """Tests for the Layout class."""
 
+import numpy as np
 import pytest
 
 from repro.ir.expr import Var
@@ -16,6 +17,41 @@ class TestConstruction:
 
     def test_lists_normalised(self):
         assert Layout([4, 8], [8, 1]) == Layout((4, 8), (8, 1))
+
+    def test_nested_lists_become_tuples(self):
+        layout = Layout([[2, 2], 4], [[1, 4], 8])
+        assert layout.shape == ((2, 2), 4)
+        assert type(layout.shape) is tuple
+        assert type(layout.shape[0]) is tuple
+        assert type(layout.stride[0]) is tuple
+
+    @pytest.mark.parametrize("leaf", [4.0, np.int64(4)])
+    def test_non_int_leaf_raises(self, leaf):
+        for shape, stride in [(leaf, 1), ((leaf, 2), (1, 4)),
+                              ((2, (leaf, 2)), (1, (2, 8))), (4, leaf),
+                              ([2, leaf], [1, 2])]:
+            with pytest.raises(TypeError):
+                Layout(shape, stride)
+
+    @pytest.mark.parametrize("shape,stride", [
+        ((4, 8), (1,)), ((4, 8), 1), (4, (1, 4)), ((2, (2, 2)), (1, 2, 4)),
+    ])
+    def test_incongruent_flat_and_nested_raise(self, shape, stride):
+        with pytest.raises(ValueError):
+            Layout(shape, stride)
+
+    def test_equal_and_hash_across_spellings(self):
+        flat = [Layout((4, 8), (8, 1)), Layout([4, 8], [8, 1]),
+                Layout((4, 8), [8, 1])]
+        nested = [Layout(((2, 2), 4), ((1, 4), 8)),
+                  Layout([[2, 2], 4], [[1, 4], 8]),
+                  Layout(((2, 2), 4), [(1, 4), 8])]
+        for group in (flat, nested):
+            assert all(layout == group[0] for layout in group)
+            assert len({hash(layout) for layout in group}) == 1
+        assert flat[0] != nested[0]
+        assert Layout(4, 1) == Layout([4], [1]).mode(0)
+        assert Layout(4, 1) != Layout((4,), (1,))
 
     def test_immutable(self):
         layout = Layout((4, 8))

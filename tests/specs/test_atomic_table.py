@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.arch import AMPERE, VOLTA
+from repro.arch import AMPERE, HOPPER, VOLTA
+from repro.conformance import default_cases
 from repro.layout import Layout, row_major
 from repro.specs import AtomicMatchError, match_atomic
-from repro.specs.base import BinaryPointwise, MatMul, Move
+from repro.serve import serve_catalog
+from repro.specs.base import Allocate, BinaryPointwise, MatMul, Move
 from repro.specs.ops import ADD, MUL
 from repro.tensor import FP16, FP32, GL, RF, SH, Tensor, tensor
 from repro.threads import warp
@@ -160,3 +162,54 @@ class TestMatchPriority:
         spec = Move([a], [a], (warp().tile([8]),))  # width 8 collective
         with pytest.raises(AtomicMatchError, match="no atomic"):
             match_atomic(spec, AMPERE.atomics)
+
+
+def _linear_first_match(spec, table):
+    """The unindexed matcher: scan the whole table in priority order."""
+    for atomic in table:
+        operands = zip(spec.inputs + spec.outputs,
+                       atomic.in_patterns + atomic.out_patterns)
+        if (spec.kind == atomic.kind
+                and spec.collective_width() == atomic.width
+                and len(spec.inputs) == len(atomic.in_patterns)
+                and len(spec.outputs) == len(atomic.out_patterns)
+                and all(p.matches(t) for t, p in operands)
+                and (atomic.predicate is None or atomic.predicate(spec))):
+            return atomic
+    return None
+
+
+def _library_leaf_specs():
+    kernels = [case.kernel for case in default_cases()]
+    kernels += [family.kernel for family in serve_catalog()]
+    return [
+        spec for kernel in kernels for spec in kernel.specs()
+        if spec.body is None and not isinstance(spec, Allocate)
+    ]
+
+
+class TestIndexedMatchIdentity:
+    """The bucketed table picks the very entry a linear scan picks."""
+
+    @pytest.mark.parametrize("arch", [VOLTA, AMPERE, HOPPER],
+                             ids=lambda a: a.key)
+    def test_every_library_leaf_spec(self, arch):
+        leaves = _library_leaf_specs()
+        assert leaves
+        unmatched = 0
+        for spec in leaves:
+            expected = _linear_first_match(spec, arch.atomics)
+            if expected is None:
+                unmatched += 1
+                with pytest.raises(AtomicMatchError) as error:
+                    match_atomic(spec, arch.atomics)
+                assert str(error.value) == (
+                    f"no atomic specification matches leaf spec {spec!r}; "
+                    f"decompose it further or extend the architecture's "
+                    f"atomic table"
+                )
+            else:
+                assert match_atomic(spec, arch.atomics) is expected
+        if arch is not HOPPER:
+            # Hopper-only kernels (wgmma, TMA) have no older-arch atomic.
+            assert unmatched > 0
