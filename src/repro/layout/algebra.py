@@ -131,6 +131,11 @@ def complement(layout: Layout, cosize: int) -> Layout:
             if s != 1
         ),
     )
+    if modes and modes[0][0] == 0:
+        raise LayoutAlgebraError(
+            f"complement undefined: {layout!r} has a stride-0 (broadcast) "
+            f"mode, so it is not injective"
+        )
     shapes: List[int] = []
     strides: List[int] = []
     current = 1

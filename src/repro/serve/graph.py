@@ -29,7 +29,7 @@ import numpy as np
 
 from ..sim.interp import RunResult, bind_launch
 from ..sim.errors import SimulationError
-from ..sim.machine import BankModel, Machine
+from ..sim.machine import Machine
 from ..sim.options import RunOptions, resolve_run_options
 from ..sim.plan import LaunchPlan, kernel_fingerprint
 from ..sim.profiler import Profiler
@@ -219,7 +219,6 @@ class CapturedGraph:
         # from a brand-new launch.
         self.machine._shared = {}
         self.machine._regs = {}
-        self.machine.bank_model = BankModel()
 
     def _copy_out(self) -> Dict[str, np.ndarray]:
         return {
@@ -252,10 +251,9 @@ class CapturedGraph:
         self.machine.profiler = profiler
         if sanitizer is None and profiler is None and self.trace is not None:
             # Observers-off fast path: replay the recorded execution
-            # trace (bit-identical outputs and bank counters; block
-            # scratch stays in trace-owned storage instead of the
-            # machine's tables).
-            self.trace.replay(self.machine.bank_model)
+            # trace (bit-identical outputs; block scratch stays in
+            # trace-owned storage instead of the machine's tables).
+            self.trace.replay()
         else:
             self.plan.replay(self.machine, self.symbols, sanitizer,
                              profiler)

@@ -7,7 +7,7 @@ from .access import (
 from .context import ExecCtx
 from .errors import SimulationError
 from .interp import RunResult, Simulator, bind_launch
-from .machine import BankModel, Machine
+from .machine import Machine
 from .options import ENGINES, RunOptions, resolve_run_options
 from .plan import (
     CacheStats, LaunchPlan, PlanCache, kernel_fingerprint, plan_cache_key,
@@ -22,7 +22,7 @@ __all__ = [
     "compile_expr", "get_index_compiler", "index_compiler",
     "set_index_compiler", "tile_views",
     "ExecCtx", "RunResult", "SimulationError", "Simulator", "bind_launch",
-    "BankModel", "Machine",
+    "Machine",
     "ENGINES", "RunOptions", "resolve_run_options",
     "CacheStats", "LaunchPlan", "PlanCache", "kernel_fingerprint",
     "plan_cache_key",

@@ -1,24 +1,41 @@
-"""Static shared-memory bank-conflict analysis for access patterns.
+"""The shared-memory bank rule, and static conflict analysis built on it.
 
-Complements the dynamic :class:`~repro.sim.machine.BankModel`: given the
-physical byte offsets a warp's lanes touch in one collective access,
-compute the transaction count the bank hardware needs.  Used by the
-swizzle ablation bench to quantify why optimized kernels use
-"memory layouts beyond row- and column-major" (paper Section 3.2).
-
-For *measured* counters over a whole kernel execution (these helpers
-analyse one hypothetical access), run the kernel with
-``Simulator.run(..., profile=True)`` — :mod:`repro.sim.profiler`
-subsumes this module's per-access accounting.
+Shared memory is 32 banks of 4-byte words.  One wavefront (one
+shared-memory cycle) serves each bank once, so distinct words in the
+same bank serialise while lanes reading the same word broadcast:
+:func:`wavefront_degree` is that rule, and it is the only place the
+repo applies it.  The profiler (:mod:`repro.sim.profiler`) calls it for
+every wavefront a kernel actually issues (``Simulator.run(...,
+profile=True)``); the helpers below call it for one hypothetical
+access.  The swizzle ablation bench uses them to quantify why
+optimized kernels use "memory layouts beyond row- and column-major"
+(paper Section 3.2).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..layout.linear import LinearLayoutError, bank_group_matrix
 from ..tensor.tensor import Tensor
-from .machine import SMEM_BANK_BYTES, SMEM_BANKS
+
+#: Shared memory is organised in 32 four-byte-wide banks on all
+#: architectures this repo models.
+SMEM_BANKS = 32
+SMEM_BANK_BYTES = 4
+
+
+def wavefront_degree(words: Iterable[int]) -> int:
+    """Transactions one wavefront needs to serve the 4-byte ``words``.
+
+    The most distinct words any single bank holds; repeated words
+    broadcast, and an empty wavefront still costs one transaction.
+    """
+    per_bank: Dict[int, int] = {}
+    for word in set(words):
+        bank = word % SMEM_BANKS
+        per_bank[bank] = per_bank.get(bank, 0) + 1
+    return max(per_bank.values(), default=1)
 
 
 def access_degree(lane_byte_offsets: Sequence[Sequence[int]]) -> int:
@@ -28,12 +45,9 @@ def access_degree(lane_byte_offsets: Sequence[Sequence[int]]) -> int:
     hitting different words in the same bank serialise; same-word
     accesses broadcast.
     """
-    banks = {}
-    for offsets in lane_byte_offsets:
-        words = {off // SMEM_BANK_BYTES for off in offsets}
-        for word in words:
-            banks.setdefault(word % SMEM_BANKS, set()).add(word)
-    return max((len(words) for words in banks.values()), default=1)
+    return wavefront_degree(off // SMEM_BANK_BYTES
+                            for offsets in lane_byte_offsets
+                            for off in offsets)
 
 
 def linear_ldmatrix_degree(smem: Tensor, row_tile: int = 0,

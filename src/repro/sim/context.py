@@ -6,7 +6,6 @@ from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from ..tensor.memspace import RF, SH
 from ..tensor.tensor import Tensor
 from .access import accessor
 from .machine import Machine
@@ -83,8 +82,6 @@ class ExecCtx:
         values = buf[offsets]
         if mask is not None:
             values = np.where(np.asarray(mask), values, fill).astype(buf.dtype)
-        if tensor.mem == SH and not bulk:
-            self._record_smem([offsets], tensor)
         return values
 
     def write(self, tensor: Tensor, env: dict, lane: int, values,
@@ -125,8 +122,6 @@ class ExecCtx:
                 prof.record(tensor, lane, offsets, kind)
             buf = self._buffer(tensor, lane, max(offsets) + 1)
             buf[offsets] = np.asarray(values, dtype=buf.dtype).reshape(-1)
-        if tensor.mem == SH and not bulk:
-            self._record_smem([offsets], tensor)
 
     def read_frag(self, tensor: Tensor, env: dict, lane: int) -> np.ndarray:
         """Read a register fragment in (tile-major, colex) order.
@@ -148,8 +143,3 @@ class ExecCtx:
             n = view.layout.size() if view.rank else 1
             self.write(view, env, lane, values[pos:pos + n])
             pos += n
-
-    def _record_smem(self, offset_groups, tensor: Tensor) -> None:
-        itemsize = tensor.dtype.bytes
-        for offsets in offset_groups:
-            self.machine.bank_model.record([o * itemsize for o in offsets])

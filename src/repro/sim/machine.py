@@ -3,92 +3,18 @@
 Substitutes for real GPU hardware (see DESIGN.md): buffers live in numpy
 arrays scoped exactly like the CUDA memory spaces — one global space per
 launch, one shared space per thread-block, one register file per thread.
-Shared-memory accesses are additionally run through a bank model so
-layout/swizzle choices have observable consequences.
+Bank conflicts are measured per wavefront by the opt-in profiler
+(:mod:`repro.sim.profiler`), by the rule in :mod:`repro.sim.banks`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from ..tensor.dtypes import DType
 from ..tensor.memspace import GL, RF, SH, MemSpace
-
-#: Shared memory is organised in 32 four-byte-wide banks on all
-#: architectures this repo models.
-SMEM_BANKS = 32
-SMEM_BANK_BYTES = 4
-
-
-class BankModel:
-    """Counts shared-memory bank conflicts per collective access.
-
-    A warp-wide access in which k threads hit different addresses in the
-    same bank serialises into k transactions; accesses to the *same*
-    address broadcast and do not conflict.
-    """
-
-    __slots__ = ("accesses", "transactions", "worst_degree")
-
-    def __init__(self):
-        self.accesses = 0
-        self.transactions = 0
-        self.worst_degree = 1
-
-    def record(self, byte_offsets) -> int:
-        """Record one collective access; returns its conflict degree."""
-        banks: Dict[int, set] = {}
-        for off in byte_offsets:
-            bank = (off // SMEM_BANK_BYTES) % SMEM_BANKS
-            banks.setdefault(bank, set()).add(off // SMEM_BANK_BYTES)
-        degree = max((len(words) for words in banks.values()), default=1)
-        self.accesses += 1
-        self.transactions += degree
-        self.worst_degree = max(self.worst_degree, degree)
-        return degree
-
-    def record_batch(self, byte_offset_rows) -> None:
-        """Record many collective accesses from a 2-D offset array.
-
-        Each row of ``byte_offset_rows`` is one access (what a single
-        :meth:`record` call would receive); the counter updates are
-        identical to calling :meth:`record` row by row.  This is the
-        bulk funnel the vectorized plan engine feeds from its index
-        arrays instead of per-lane callbacks.
-        """
-        rows = np.asarray(byte_offset_rows)
-        if rows.ndim != 2:
-            rows = rows.reshape(len(rows), -1)
-        n, width = rows.shape
-        if n == 0:
-            return
-        if width == 0:
-            # Degenerate empty accesses count as conflict-free.
-            self.accesses += n
-            self.transactions += n
-            return
-        words = np.sort(rows // SMEM_BANK_BYTES, axis=1)
-        first = np.ones((n, 1), dtype=bool)
-        distinct = (np.concatenate([first, words[:, 1:] != words[:, :-1]],
-                                   axis=1)
-                    if width > 1 else first)
-        keys = (np.arange(n)[:, None] * SMEM_BANKS
-                + words % SMEM_BANKS)[distinct]
-        per_bank = np.bincount(keys.ravel(), minlength=n * SMEM_BANKS)
-        degrees = per_bank.reshape(n, SMEM_BANKS).max(axis=1)
-        np.maximum(degrees, 1, out=degrees)
-        self.accesses += n
-        self.transactions += int(degrees.sum())
-        self.worst_degree = max(self.worst_degree, int(degrees.max()))
-
-    @property
-    def conflict_rate(self) -> float:
-        """Average transactions per access (1.0 = conflict-free)."""
-        if self.accesses == 0:
-            return 1.0
-        return self.transactions / self.accesses
 
 
 class Machine:
@@ -99,7 +25,6 @@ class Machine:
         self._shared: Dict[Tuple[int, str], np.ndarray] = {}
         self._regs: Dict[Tuple[int, int, str], np.ndarray] = {}
         self._declared: Dict[str, Tuple[DType, int]] = {}
-        self.bank_model = BankModel()
         #: Optional :class:`repro.sim.sanitizer.Sanitizer` observing
         #: every element access (attached by ``Simulator.run``).
         self.sanitizer = None

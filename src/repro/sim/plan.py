@@ -20,11 +20,11 @@ The plan layer sits under ``Simulator.run``:
 * Replay is block-batched: blocks are independent, so one compiled plan
   replays across the whole grid, with every cross-block-invariant index
   array computed exactly once.
-* Profiler counters, sanitizer access streams and the shared-memory
-  bank model are fed from the same index arrays (in bulk, and — for the
-  order-sensitive sanitizer — in the reference engine's exact per-lane
-  emission order), so ``RunResult.machine/profile/sanitizer`` outputs
-  are bit-identical to the reference interpreter.
+* Profiler counters and sanitizer access streams are fed from the
+  same index arrays (in bulk, and — for the order-sensitive sanitizer —
+  in the reference engine's exact per-lane emission order), so
+  ``RunResult.machine/profile/sanitizer`` outputs are bit-identical to
+  the reference interpreter.
 
 Atomics without a vectorized runner fall back to the scalar executor
 through :class:`~repro.sim.context.ExecCtx`, with register-file state
@@ -77,7 +77,7 @@ class ViewPlan:
     """
 
     __slots__ = (
-        "tensor", "size", "itemsize", "is_gl", "is_sh", "is_rf",
+        "tensor", "size", "is_gl", "is_sh", "is_rf",
         "lane_arr", "_base", "_rel", "_swizzle", "_guards", "_key_vars",
         "_cache",
     )
@@ -86,7 +86,6 @@ class ViewPlan:
         acc = accessor(tensor)
         self.tensor = tensor
         self.size = acc.size
-        self.itemsize = tensor.dtype.bytes
         self.is_gl = tensor.mem == GL
         self.is_sh = tensor.mem == SH
         self.is_rf = tensor.mem == RF
@@ -930,9 +929,9 @@ class _Replay:
 
         The returned emission entry carries the raw offsets/mask for
         the observer feed; buffer growth, zero-substitution of masked
-        offsets, fill values and the bank-model feed all match the
-        reference ``ExecCtx.read`` exactly, ``bulk`` included (TMA
-        traffic: profiled as bulk, no bank-model feed).
+        offsets and fill values all match the reference
+        ``ExecCtx.read`` exactly, ``bulk`` included (TMA traffic,
+        profiled as bulk).
         """
         offs, mask = vp.offsets_mask(env)
         take_all = rows is self._aranges.get(offs.shape[0])
@@ -955,22 +954,19 @@ class _Replay:
                 self.bid, 0, int(offs_eff.max()) + 1,
             )
             values = buf[offs_eff]
-            if vp.is_sh and not bulk:
-                self.machine.bank_model.record_batch(offs_eff * vp.itemsize)
         if mask_sel is not None:
             values = np.where(mask_sel, values, fill).astype(buf.dtype)
         if self._trace is not None:
             self._trace.on_read(vp, offs_eff, mask_sel,
-                                lane_ids if vp.is_rf else None, fill,
-                                vp.is_sh and not bulk)
+                                lane_ids if vp.is_rf else None, fill)
         return values, (vp.tensor, "bulk_read" if bulk else "read",
                         offs_sel, mask_sel, rows, offs, mask)
 
     def write_bulk(self, vp, env, rows, values, bulk=False):
         """Scatter ``values`` to ``rows`` lanes' view elements.
 
-        Fully-guarded-out lanes are dropped before any buffer or bank
-        effect (the reference engine's early return); scatter order is
+        Fully-guarded-out lanes are dropped before any buffer effect
+        (the reference engine's early return); scatter order is
         lane-major so last-wins overlaps resolve as the per-lane loop
         would.  Returns the emission entry, or None if nothing wrote.
         """
@@ -998,12 +994,8 @@ class _Replay:
                     int(offs_sel.max()) + 1,
                 )
                 buf[offs_sel] = values.astype(buf.dtype, copy=False)
-                if vp.is_sh and not bulk:
-                    self.machine.bank_model.record_batch(
-                        offs_sel * vp.itemsize)
             if self._trace is not None:
-                self._trace.on_write_plain(vp, offs_sel, lane_ids,
-                                           vp.is_sh and not bulk)
+                self._trace.on_write_plain(vp, offs_sel, lane_ids)
             return (tensor, kind, offs_sel, None, rows, offs, mask)
         mask_sel = mask if take_all else mask[rows]
         keep = mask_sel.any(axis=1)
@@ -1036,12 +1028,9 @@ class _Replay:
                 int(flat_offs.max()) + 1,
             )
             buf[flat_offs] = flat_vals
-            if vp.is_sh and not bulk:
-                self.machine.bank_model.record_batch(offs_sel * vp.itemsize)
         if self._trace is not None:
             self._trace.on_write_masked(vp, offs_sel, mask_sel, keep,
-                                        flat_offs, lane_mat,
-                                        vp.is_sh and not bulk)
+                                        flat_offs, lane_mat)
         return (tensor, kind, offs_sel, mask_sel, rows, offs, mask)
 
     # -- observer feed ---------------------------------------------------------

@@ -36,9 +36,10 @@ Counter semantics (documented so calibration tolerances mean something):
   JSON (one track per thread-block, load it at ``chrome://tracing`` or
   https://ui.perfetto.dev).
 
-This subsumes the static helpers in :mod:`repro.sim.banks`: those
-analyse one hypothetical access pattern; the profiler measures every
-access the kernel actually performed.
+The bank rule itself is :func:`repro.sim.banks.wavefront_degree`, shared
+with the static helpers in that module: those analyse one hypothetical
+access pattern; the profiler measures every access the kernel actually
+performed.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..tensor.memspace import GL, SH
-from .machine import SMEM_BANK_BYTES, SMEM_BANKS
+from .banks import SMEM_BANK_BYTES, SMEM_BANKS, wavefront_degree
 
 #: One global-memory transaction moves a 32-byte sector (L1/L2 sector size).
 GLOBAL_SECTOR_BYTES = 32
@@ -561,7 +562,7 @@ class Profiler:
         for mem, buffer, itemsize, kind, lane, offsets in records:
             if kind in ("bulk_read", "bulk_write"):
                 # TMA bulk tensor traffic: dedicated accounting, outside
-                # the warp coalescing window and the bank model.
+                # the warp coalescing window and the bank rule.
                 total += self._charge_bulk(counters, kind, itemsize,
                                            offsets)
                 continue
@@ -650,14 +651,12 @@ class Profiler:
                          wave, wave_bytes: int) -> int:
         # A segment's elements are consecutive, so its 4-byte words are
         # the contiguous range between its first and last byte.
-        banks: Dict[int, set] = {}
+        words = set()
         for itemsize, lo_off, count in wave:
-            lo_byte = lo_off * itemsize
-            hi_byte = (lo_off + count) * itemsize - 1
-            for word in range(lo_byte // SMEM_BANK_BYTES,
-                              hi_byte // SMEM_BANK_BYTES + 1):
-                banks.setdefault(word % SMEM_BANKS, set()).add(word)
-        degree = max((len(words) for words in banks.values()), default=1)
+            words.update(range(lo_off * itemsize // SMEM_BANK_BYTES,
+                               ((lo_off + count) * itemsize - 1)
+                               // SMEM_BANK_BYTES + 1))
+        degree = wavefront_degree(words)
         if kind == "read":
             counters.shared_load_transactions += degree
             counters.shared_load_wavefronts += 1

@@ -17,18 +17,14 @@ replay, the flat sequence of leaf executions with everything resolved:
   *direct reference* to the backing storage — the machine's global
   arrays (a captured graph's static slots) and trace-owned
   shared-memory / register-file arrays pre-sized at their final
-  capacities,
-* the total shared-memory bank-model charge, pre-aggregated (the bank
-  counters are commutative sums and a max, so one bulk update equals
-  the per-access feed exactly).
+  capacities.
 
 Replaying the trace then runs only the runners' data math: the recorded
 descriptors stand in for ``read_bulk``/``write_bulk`` and control flow
-disappears entirely.  Outputs and bank counters are bit-identical to a
-plan replay because the descriptors *are* the arrays the plan engine
-computed, consumed in the same order, and growth-by-zero-fill semantics
-make the pre-sized trace storage indistinguishable from lazily grown
-buffers.
+disappears entirely.  Outputs are bit-identical to a plan replay
+because the descriptors *are* the arrays the plan engine computed,
+consumed in the same order, and growth-by-zero-fill semantics make the
+pre-sized trace storage indistinguishable from lazily grown buffers.
 
 Limits: traces carry no observer stream, so sanitized/profiled replays
 must use the exact plan path; plans containing scalar-fallback leaves
@@ -43,7 +39,6 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .errors import SimulationError
-from .machine import BankModel
 from .plan import _Replay
 
 #: Immutable empty environment handed to runners during trace replay;
@@ -158,13 +153,11 @@ class _TraceRecorder:
 
     The plan engine calls ``begin_leaf`` / ``on_rows`` / ``on_read`` /
     ``on_write_*`` while executing normally; the recorder mirrors every
-    resolved access into descriptor form and charges a private bank
-    model with the same byte rows the machine's model saw.
+    resolved access into descriptor form.
     """
 
     def __init__(self):
         self.leaves: List[_Leaf] = []
-        self.bank = BankModel()
         self._ops: Optional[List[object]] = None
 
     def begin_leaf(self, sp, gp) -> None:
@@ -179,34 +172,27 @@ class _TraceRecorder:
     def on_rows(self, rows) -> None:
         self.leaves[-1].rows = rows
 
-    def on_read(self, vp, offs_eff, mask_sel, lane_ids, fill,
-                bank) -> None:
+    def on_read(self, vp, offs_eff, mask_sel, lane_ids, fill) -> None:
         if fill != 0:
             raise _Untraceable("read with a non-zero guard fill")
         index = ((lane_ids[:, None], offs_eff) if lane_ids is not None
                  else offs_eff)
         self._ops.append(
             _ReadOp(_op_space(vp), vp.tensor.buffer, index, mask_sel))
-        if bank:
-            self.bank.record_batch(offs_eff * vp.itemsize)
 
-    def on_write_plain(self, vp, offs_sel, lane_ids, bank) -> None:
+    def on_write_plain(self, vp, offs_sel, lane_ids) -> None:
         index = ((lane_ids[:, None], offs_sel) if lane_ids is not None
                  else offs_sel)
         self._ops.append(
             _WriteOp(_op_space(vp), vp.tensor.buffer, index))
-        if bank:
-            self.bank.record_batch(offs_sel * vp.itemsize)
 
     def on_write_masked(self, vp, offs_sel, mask_sel, keep,
-                        flat_offs, lane_mat, bank) -> None:
+                        flat_offs, lane_mat) -> None:
         index = (lane_mat, flat_offs) if lane_mat is not None else flat_offs
         self._ops.append(_MaskedWriteOp(
             _op_space(vp), vp.tensor.buffer, index,
             None if keep.all() else keep, offs_sel.shape, mask_sel,
         ))
-        if bank:
-            self.bank.record_batch(offs_sel * vp.itemsize)
 
     def on_write_skip(self) -> None:
         self._ops.append(_SKIP_WRITE)
@@ -290,15 +276,11 @@ class _TraceReplay:
 class PlanTrace:
     """A recorded grid execution, replayable as flat descriptor math."""
 
-    __slots__ = ("leaves", "zero_arrays", "bank_accesses",
-                 "bank_transactions", "bank_worst", "nbytes")
+    __slots__ = ("leaves", "zero_arrays", "nbytes")
 
-    def __init__(self, leaves, zero_arrays, bank: BankModel):
+    def __init__(self, leaves, zero_arrays):
         self.leaves = tuple(leaves)
         self.zero_arrays = tuple(zero_arrays)
-        self.bank_accesses = bank.accesses
-        self.bank_transactions = bank.transactions
-        self.bank_worst = bank.worst_degree
         seen = set()
         total = 0
         for arr in self.zero_arrays:
@@ -318,7 +300,7 @@ class PlanTrace:
                         total += arr.nbytes
         self.nbytes = total
 
-    def replay(self, bank_model: Optional[BankModel] = None) -> None:
+    def replay(self) -> None:
         """Re-execute the recorded leaves over the current storage.
 
         Global arrays are read/written in place (a captured graph's
@@ -339,11 +321,6 @@ class PlanTrace:
                     f"of {len(leaf.ops)} recorded operations — the plan "
                     "no longer matches its recording"
                 )
-        if bank_model is not None:
-            bank_model.accesses += self.bank_accesses
-            bank_model.transactions += self.bank_transactions
-            if self.bank_worst > bank_model.worst_degree:
-                bank_model.worst_degree = self.bank_worst
 
 
 def record_trace(plan, machine, symbols) -> Optional[PlanTrace]:
@@ -373,7 +350,7 @@ def record_trace(plan, machine, symbols) -> Optional[PlanTrace]:
                 _finalize_block(block_leaves, machine, run.regfile, bid))
     except _Untraceable:
         return None
-    return PlanTrace(recorder.leaves, zero_arrays, recorder.bank)
+    return PlanTrace(recorder.leaves, zero_arrays)
 
 
 __all__ = ["PlanTrace", "record_trace"]

@@ -16,8 +16,8 @@ def test_moves_family_artifact(tmp_path):
     assert row["family"] == "moves"
     assert row["bit_identical"] is True
     assert all(row[key] for key in (
-        "outputs_bit_identical", "bank_counters_identical",
-        "profiler_counters_identical", "sanitizer_verdicts_identical"))
+        "outputs_bit_identical", "profiler_counters_identical",
+        "sanitizer_verdicts_identical"))
     (timing,) = artifact["cold_vs_warm"]
     assert timing["warm_speedup"] >= WARM_SPEEDUP_FLOOR
     assert artifact["passed"] is True

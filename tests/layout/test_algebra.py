@@ -86,6 +86,11 @@ class TestComplement:
         with pytest.raises(LayoutAlgebraError):
             complement(Layout(3, 2), 7)
 
+    def test_stride_zero_mode_raises(self):
+        # A broadcast mode is not injective, so nothing complements it.
+        with pytest.raises(LayoutAlgebraError, match="stride-0"):
+            complement(Layout((4, 2), (1, 0)), 16)
+
 
 class TestLogicalDivide:
     def test_contiguous(self):
@@ -119,6 +124,10 @@ class TestLogicalDivide:
     def test_divide_covers_everything(self):
         divided = logical_divide(Layout(32, 1), Layout((4, 2), (1, 16)))
         assert sorted(divided.offsets()) == list(range(32))
+
+    def test_broadcast_tiler_raises(self):
+        with pytest.raises(LayoutAlgebraError, match="stride-0"):
+            logical_divide(Layout(8, 1), Layout(4, 0))
 
 
 class TestLogicalProduct:
@@ -224,10 +233,14 @@ def concrete_layouts(draw, max_modes=3):
 
 
 def _outcome(fn, *args):
-    """``fn``'s result, or the class of the error it raised."""
+    """``fn``'s result, or the class of the typed error it raised.
+
+    Undefined operands, broadcast modes included, must raise
+    LayoutAlgebraError; anything else propagates and fails the test.
+    """
     try:
         return fn(*args)
-    except Exception as error:  # stride-0 complements divide by zero
+    except LayoutAlgebraError as error:
         return type(error)
 
 

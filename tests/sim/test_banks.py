@@ -1,11 +1,16 @@
-"""Static bank-conflict analysis tests."""
+"""Bank-conflict rule and static analysis tests."""
+
+from hypothesis import given, strategies as st
 
 from repro.layout.layout import row_major
 from repro.layout.swizzle import Swizzle
 from repro.sim.banks import (
     access_degree, column_access_degree, ldmatrix_conflict_degree,
 )
-from repro.tensor import FP16, FP32, SH, Tensor
+from repro.sim.profiler import (
+    MAX_VECTOR_BYTES, SMEM_WAVEFRONT_BYTES, WARP_SIZE, Profiler,
+)
+from repro.tensor import FP16, FP32, FP64, SH, Tensor
 
 
 class TestAccessDegree:
@@ -61,3 +66,48 @@ class TestColumnAccess:
         smem = Tensor("s", row_major(32, 8), FP16, SH,
                       swizzle=Swizzle(2, 1, 5))
         assert column_access_degree(smem) == 1
+
+
+@st.composite
+def wavefronts(draw):
+    """One warp's shared access that fits a single wavefront.
+
+    Each lane touches one contiguous run of at most one vector's worth
+    of elements (so it issues a single segment) at a random offset, and
+    the lanes together move at most one wavefront of bytes.
+    """
+    dtype = draw(st.sampled_from([FP16, FP32, FP64]))
+    itemsize = dtype.bytes
+    budget = SMEM_WAVEFRONT_BYTES // itemsize
+    runs = []
+    for _ in range(draw(st.integers(min_value=1, max_value=WARP_SIZE))):
+        if budget == 0:
+            break
+        count = draw(st.integers(
+            min_value=1, max_value=min(MAX_VECTOR_BYTES // itemsize, budget)))
+        runs.append((draw(st.integers(min_value=0, max_value=1023)), count))
+        budget -= count
+    return dtype, runs, draw(st.sampled_from(["read", "write"]))
+
+
+@given(wavefronts())
+def test_profiler_wavefront_matches_access_degree(wave):
+    """The profiler's measured wavefront and the static helper apply the
+    same bank rule to the same bytes."""
+    dtype, runs, kind = wave
+    smem = Tensor("s", row_major(1, 1), dtype, SH)
+    prof = Profiler()
+    prof.begin_block(0)
+    prof.begin_exec("st", "ld.shared", 1, range(len(runs)))
+    for lane, (start, count) in enumerate(runs):
+        prof.record(smem, lane, list(range(start, start + count)), kind)
+    prof.end_exec()
+    counters = prof.finish("k", 1, WARP_SIZE).specs["st"]
+    side = "load" if kind == "read" else "store"
+    assert getattr(counters, f"shared_{side}_wavefronts") == 1
+    itemsize = dtype.bytes
+    expected = access_degree([
+        range(start * itemsize, (start + count) * itemsize)
+        for start, count in runs
+    ])
+    assert getattr(counters, f"shared_{side}_transactions") == expected

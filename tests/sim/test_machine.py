@@ -1,9 +1,9 @@
-"""Unit tests for the simulated machine state and bank model."""
+"""Unit tests for the simulated machine state."""
 
 import numpy as np
 import pytest
 
-from repro.sim.machine import BankModel, Machine
+from repro.sim.machine import Machine
 from repro.tensor import FP16, FP32, GL, RF, SH
 
 
@@ -55,27 +55,3 @@ class TestMachine:
         m.buffer(SH, "b", FP32, 0, 0, 8)
         assert m.shared_bytes(0) == 16 * 2 + 8 * 4
 
-
-class TestBankModel:
-    def test_conflict_free(self):
-        bm = BankModel()
-        degree = bm.record([4 * i for i in range(32)])
-        assert degree == 1
-        assert bm.conflict_rate == 1.0
-
-    def test_two_way_conflict(self):
-        bm = BankModel()
-        # Lanes hit banks 0..15 twice at different addresses.
-        degree = bm.record([4 * (i % 16) + 128 * (i // 16)
-                            for i in range(32)])
-        assert degree == 2
-
-    def test_broadcast_is_free(self):
-        bm = BankModel()
-        assert bm.record([0] * 32) == 1
-
-    def test_worst_degree_tracked(self):
-        bm = BankModel()
-        bm.record([4 * i for i in range(32)])
-        bm.record([128 * i for i in range(32)])  # all bank 0
-        assert bm.worst_degree == 32

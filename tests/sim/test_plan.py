@@ -2,8 +2,8 @@
 
 The vectorized engine (:mod:`repro.sim.plan`) must be indistinguishable
 from the scalar reference interpreter — not just in output arrays but in
-every observable: final machine state (including the bank model),
-profiler counters and event timeline, and sanitizer reports.  These
+every observable: final machine state, profiler counters (bank
+conflicts included) and event timeline, and sanitizer reports.  These
 tests pin that equivalence over the conformance case library, a small
 fuzz corpus, and barrier-stripped racy mutants, and pin the plan
 cache's keying rules (kernel identity + symbol bindings + binding
@@ -51,10 +51,8 @@ def _machine_sig(machine):
     def table(t):
         return {k: (v.dtype.str, v.shape, v.tobytes()) for k, v in t.items()}
 
-    bm = machine.bank_model
     return (table(machine._global), table(machine._shared),
-            table(machine._regs),
-            (bm.accesses, bm.transactions, bm.worst_degree))
+            table(machine._regs))
 
 
 def _run_engine(case: Case, engine: str, sanitize="report"):

@@ -205,3 +205,11 @@ class TestPartialTiles:
 
         with pytest.raises(LayoutAlgebraError):
             tensor("P", (1023,), FP32).tile((Layout(2, 2),))
+
+    def test_broadcast_tile_rejected(self):
+        # A stride-0 tile has no complement, so tiling falls back to
+        # predication, which rejects it.
+        from repro.layout import LayoutAlgebraError
+
+        with pytest.raises(LayoutAlgebraError, match="non-contiguous tile"):
+            tensor("P", (8,), FP32).tile((Layout(4, 0),))
