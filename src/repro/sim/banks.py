@@ -3,10 +3,12 @@
 Shared memory is 32 banks of 4-byte words.  One wavefront (one
 shared-memory cycle) serves each bank once, so distinct words in the
 same bank serialise while lanes reading the same word broadcast:
-:func:`wavefront_degree` is that rule, and it is the only place the
-repo applies it.  The profiler (:mod:`repro.sim.profiler`) calls it for
-every wavefront a kernel actually issues (``Simulator.run(...,
-profile=True)``); the helpers below call it for one hypothetical
+:func:`wavefront_degrees` is that rule over a batch of wavefronts, and
+it is the only place the repo applies it.  The profiler
+(:mod:`repro.sim.profiler`) calls it once per execution for every
+wavefront a kernel actually issues (``Simulator.run(...,
+profile=True)``); :func:`wavefront_degree` applies it to one
+wavefront, and the helpers below call that for one hypothetical
 access.  The swizzle ablation bench uses them to quantify why
 optimized kernels use "memory layouts beyond row- and column-major"
 (paper Section 3.2).
@@ -14,7 +16,9 @@ optimized kernels use "memory layouts beyond row- and column-major"
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
+
+import numpy as np
 
 from ..layout.linear import LinearLayoutError, bank_group_matrix
 from ..tensor.tensor import Tensor
@@ -25,17 +29,34 @@ SMEM_BANKS = 32
 SMEM_BANK_BYTES = 4
 
 
-def wavefront_degree(words: Iterable[int]) -> int:
-    """Transactions one wavefront needs to serve the 4-byte ``words``.
+def wavefront_degrees(wave_ids: np.ndarray, words: np.ndarray,
+                      waves: int) -> np.ndarray:
+    """Transactions each of ``waves`` wavefronts needs for its words.
 
-    The most distinct words any single bank holds; repeated words
-    broadcast, and an empty wavefront still costs one transaction.
+    ``words[i]`` is a 4-byte word that wavefront ``wave_ids[i]`` touches.
+    A wavefront's degree is the most distinct words any single bank
+    holds; repeated words broadcast, and a wavefront with no words still
+    costs one transaction.
     """
-    per_bank: Dict[int, int] = {}
-    for word in set(words):
-        bank = word % SMEM_BANKS
-        per_bank[bank] = per_bank.get(bank, 0) + 1
-    return max(per_bank.values(), default=1)
+    if words.size == 0:
+        return np.ones(waves, dtype=np.int64)
+    # Shifting by a multiple of the bank count keeps every word's bank
+    # and makes the (wavefront, word) pairs non-negative keys.
+    low = int(words.min()) // SMEM_BANKS * SMEM_BANKS
+    span = int(words.max()) - low + 1
+    pairs = np.sort(wave_ids * span + (words - low))
+    distinct = pairs[np.concatenate(([True], pairs[1:] != pairs[:-1]))]
+    banks = distinct % span % SMEM_BANKS
+    per_bank = np.bincount(distinct // span * SMEM_BANKS + banks,
+                           minlength=waves * SMEM_BANKS)
+    return np.maximum(per_bank.reshape(waves, SMEM_BANKS).max(axis=1), 1)
+
+
+def wavefront_degree(words: Iterable[int]) -> int:
+    """Transactions one wavefront needs to serve the 4-byte ``words``."""
+    words = np.fromiter(words, dtype=np.int64)
+    return int(wavefront_degrees(np.zeros(words.size, dtype=np.int64),
+                                 words, 1)[0])
 
 
 def access_degree(lane_byte_offsets: Sequence[Sequence[int]]) -> int:

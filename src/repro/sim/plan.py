@@ -20,11 +20,12 @@ The plan layer sits under ``Simulator.run``:
 * Replay is block-batched: blocks are independent, so one compiled plan
   replays across the whole grid, with every cross-block-invariant index
   array computed exactly once.
-* Profiler counters and sanitizer access streams are fed from the
-  same index arrays (in bulk, and — for the order-sensitive sanitizer —
-  in the reference engine's exact per-lane emission order), so
-  ``RunResult.machine/profile/sanitizer`` outputs are bit-identical to
-  the reference interpreter.
+* Observers are fed from the same index arrays the numerics use.  The
+  sanitizer is replayed in the reference engine's exact per-lane
+  emission order; the profiler gets each emission entry whole (lanes,
+  offset matrix, mask) with every row's arrival slot in that order, and
+  charges it in bulk.  ``RunResult.machine/profile/sanitizer`` outputs
+  are bit-identical to the reference interpreter.
 
 Atomics without a vectorized runner fall back to the scalar executor
 through :class:`~repro.sim.context.ExecCtx`, with register-file state
@@ -59,10 +60,6 @@ from .errors import SimulationError
 #: Per-view cap on cached (offsets, mask) entries; loop-variant views
 #: with more distinct bindings than this recompute after a cache clear.
 VIEW_CACHE_ENTRIES = 512
-
-#: Per-spec cap on cached profiler charge deltas (see _Replay.exec_spec);
-#: an overflow clears the cache and the next executions re-measure.
-CHARGE_CACHE_ENTRIES = 256
 
 
 class ViewPlan:
@@ -426,8 +423,7 @@ class _LdmatrixAux:
 class _SpecPlan:
     """One leaf spec, matched and bound to a vectorized runner."""
 
-    __slots__ = ("spec", "atomic", "label", "groups", "runner", "aux",
-                 "charge_cache")
+    __slots__ = ("spec", "atomic", "label", "groups", "runner", "aux")
 
     def __init__(self, spec, plan: "LaunchPlan"):
         atomic = match_atomic(spec, plan.arch.atomics)
@@ -441,9 +437,6 @@ class _SpecPlan:
             GroupPlan(lanes) for lanes in _lane_groups(spec, plan.nthreads)
         ]
         self.runner, self.aux = _select_runner(spec, atomic)
-        #: (group, stream-identity) -> (counter delta, keepalive refs);
-        #: see _Replay.exec_spec.
-        self.charge_cache: dict = {}
 
 
 # -- vectorized runners --------------------------------------------------------
@@ -583,9 +576,9 @@ def _run_ldmatrix(run, sp, gp, env, preds):
     if gp.nlanes != 32:
         raise ValueError("ldmatrix requires a full 32-lane warp")
     # Gather only the address-supplying lanes, in (matrix, row) order —
-    # the reference read order, which the sanitizer feed must follow.
+    # the reference read order, which the observer feed must follow.
     vals, read_ent = run.read_bulk(gp.view(spec.src), env, aux.src_rows)
-    run.emit_entry_order(gp, read_ent)
+    run.emit(gp, aux.src_rows, (read_ent,))
     matrices = vals.reshape(aux.num * 8, 8)
     if len(aux.dst_tiles) != aux.num:
         raise ValueError(
@@ -741,46 +734,6 @@ def _select_runner(spec, atomic):
 
 
 # -- replay engine -------------------------------------------------------------
-def _charge_key(gi, pending):
-    """Identity key for one group execution's queued observer stream.
-
-    The profiler counter delta of an execution is a pure function of
-    its record stream, which is in turn fully determined by the
-    immutable *source* offset/mask arrays (the ViewPlan cache entries
-    the runner selected from — row selection is deterministic given
-    the row set's content) and the row sets themselves.  Source arrays
-    are keyed by id() — sound only because the cache entry keeps them
-    alive (:func:`_charge_refs`), so a matching id always names the
-    same object.  Row sets are tiny and keyed by content, making the
-    key stable across blocks and loop iterations.
-    """
-    parts = [gi]
-    for entry_order, master_rows, entries in pending:
-        parts.append(entry_order)
-        parts.append(None if master_rows is None else master_rows.tobytes())
-        for entry in entries:
-            if entry is None:
-                # A fully-guarded-out write: contributes no records,
-                # so it cannot change the delta regardless of source.
-                parts.append(None)
-                continue
-            tensor, kind, _offs_sel, _mask_sel, rows, offs, mask = entry
-            parts.append((id(tensor), kind, id(offs),
-                          0 if mask is None else id(mask),
-                          rows.tobytes()))
-    return tuple(parts)
-
-
-def _charge_refs(pending):
-    """Strong refs to every id()-keyed array of a cached charge key."""
-    refs = []
-    for _order, _rows, entries in pending:
-        for entry in entries:
-            if entry is not None:
-                refs.append((entry[5], entry[6]))
-    return refs
-
-
 #: Emission-entry kind -> the access kind the sanitizer sees (TMA bulk
 #: traffic is an ordinary read/write to it; only the profiler tells
 #: them apart).
@@ -870,7 +823,7 @@ class _Replay:
                 trace.begin_leaf(sp, gp)
                 self._exec_group(sp, gp, env, preds)
             return
-        for gi, gp in enumerate(sp.groups):
+        for gp in sp.groups:
             if sp.runner is None:
                 # Scalar fallback: ExecCtx feeds the observers itself.
                 if prof is not None:
@@ -886,33 +839,15 @@ class _Replay:
             pending = self._pending = []
             sp.runner(self, sp, gp, env, preds)
             self._pending = None
-            if prof is None:
-                self._feed(gp, pending, san, None)
-                continue
-            # The profiler effect of one execution is a pure function
-            # of its record stream; with no sanitizer attached, replay
-            # a previously captured counter delta instead of walking
-            # the per-lane records again.
-            key = None if san is not None else _charge_key(gi, pending)
-            if key is not None:
-                hit = sp.charge_cache.get(key)
-                if hit is not None:
-                    prof.apply_exec(sp.label, atomic.name, atomic.width,
-                                    hit[0])
-                    continue
-            prof.begin_exec(sp.label, atomic.name, atomic.width, gp.lanes)
-            before = prof.exec_snapshot(sp.label)
-            try:
-                self._feed(gp, pending, san, prof)
-            finally:
-                prof.end_exec()
-            if key is not None:
-                if len(sp.charge_cache) >= CHARGE_CACHE_ENTRIES:
-                    sp.charge_cache.clear()
-                sp.charge_cache[key] = (
-                    prof.exec_delta(sp.label, before),
-                    _charge_refs(pending),
-                )
+            if san is not None:
+                self._feed(gp, pending, san)
+            if prof is not None:
+                prof.begin_exec(sp.label, atomic.name, atomic.width,
+                                gp.lanes)
+                try:
+                    self._record(gp, pending, prof)
+                finally:
+                    prof.end_exec()
 
     def _exec_group(self, sp, gp, env, preds):
         if sp.runner is None:
@@ -960,7 +895,7 @@ class _Replay:
             self._trace.on_read(vp, offs_eff, mask_sel,
                                 lane_ids if vp.is_rf else None, fill)
         return values, (vp.tensor, "bulk_read" if bulk else "read",
-                        offs_sel, mask_sel, rows, offs, mask)
+                        offs_sel, mask_sel, rows)
 
     def write_bulk(self, vp, env, rows, values, bulk=False):
         """Scatter ``values`` to ``rows`` lanes' view elements.
@@ -996,7 +931,7 @@ class _Replay:
                 buf[offs_sel] = values.astype(buf.dtype, copy=False)
             if self._trace is not None:
                 self._trace.on_write_plain(vp, offs_sel, lane_ids)
-            return (tensor, kind, offs_sel, None, rows, offs, mask)
+            return (tensor, kind, offs_sel, None, rows)
         mask_sel = mask if take_all else mask[rows]
         keep = mask_sel.any(axis=1)
         if not keep.any():
@@ -1031,26 +966,21 @@ class _Replay:
         if self._trace is not None:
             self._trace.on_write_masked(vp, offs_sel, mask_sel, keep,
                                         flat_offs, lane_mat)
-        return (tensor, kind, offs_sel, mask_sel, rows, offs, mask)
+        return (tensor, kind, offs_sel, mask_sel, rows)
 
     # -- observer feed ---------------------------------------------------------
     def emit(self, gp, master_rows, entries):
         """Queue records for the observer feed, lanes-outer entries-inner.
 
         Emission is deferred: runners queue their entries and
-        exec_spec replays them (or a cached charge delta) once the
-        numerics complete.  Relative order is preserved exactly.
+        exec_spec hands them to the observers once the numerics
+        complete.  Relative order is preserved exactly.
         """
         if self._pending is not None:
-            self._pending.append((False, master_rows, entries))
+            self._pending.append((master_rows, entries))
 
-    def emit_entry_order(self, gp, entry):
-        """Queue one entry in its own row order (ldmatrix reads)."""
-        if self._pending is not None:
-            self._pending.append((True, None, (entry,)))
-
-    def _feed(self, gp, pending, san, prof):
-        """Replay queued emissions into the observers.
+    def _feed(self, gp, pending, san):
+        """Replay queued emissions into the sanitizer, lane by lane.
 
         Per queued item the order is lanes-outer entries-inner (reads
         and writes of one lane before the next lane) — exactly the
@@ -1059,51 +989,25 @@ class _Replay:
         """
         lanes = gp.lanes
         bid = self.bid
-        # Append record-shaped tuples straight into the profiler's sink
-        # (shared-memory wavefront packing is order-sensitive, so the
-        # interleaving below must not change).
-        records = prof.exec_records() if prof is not None else None
-        for entry_order, master_rows, entries in pending:
-            if entry_order:
-                entry = entries[0]
-                if entry is None:
-                    continue
-                tensor, kind, offs_sel, mask_sel, rows = entry[:5]
-                mem, buffer = tensor.mem, tensor.buffer
-                nbytes = tensor.dtype.bytes
-                san_kind = _SANITIZER_KIND[kind]
-                for i, r in enumerate(rows):
-                    lane = lanes[int(r)]
-                    row = offs_sel[i]
-                    live = row if mask_sel is None else row[mask_sel[i]]
-                    if live.size == 0:
-                        continue
-                    if san is not None:
-                        san.record(tensor, bid, lane, live, san_kind)
-                    if records is not None:
-                        records.append(
-                            (mem, buffer, nbytes, kind, lane, live))
-                continue
+        for master_rows, entries in pending:
             prepared = []
             for entry in entries:
                 if entry is None:
                     continue
-                tensor, kind, offs_sel, mask_sel, rows = entry[:5]
+                tensor, kind, offs_sel, mask_sel, rows = entry
                 # Entries that kept the master row set align by
                 # position; filtered writes need the value -> position
                 # map.
                 rowmap = None if rows is master_rows else {
                     int(r): i for i, r in enumerate(rows)
                 }
-                prepared.append((tensor, kind, offs_sel, mask_sel, rowmap,
-                                 tensor.mem, tensor.buffer,
-                                 tensor.dtype.bytes, _SANITIZER_KIND[kind]))
+                prepared.append((tensor, offs_sel, mask_sel, rowmap,
+                                 _SANITIZER_KIND[kind]))
             if not prepared:
                 continue
             for pos, r in enumerate(master_rows):
                 lane = lanes[int(r)]
-                for (tensor, kind, offs_sel, mask_sel, rowmap,
-                     mem, buffer, nbytes, san_kind) in prepared:
+                for tensor, offs_sel, mask_sel, rowmap, san_kind in prepared:
                     if rowmap is None:
                         i = pos
                     else:
@@ -1112,13 +1016,26 @@ class _Replay:
                             continue
                     row = offs_sel[i]
                     live = row if mask_sel is None else row[mask_sel[i]]
-                    if live.size == 0:
-                        continue
-                    if san is not None:
+                    if live.size:
                         san.record(tensor, bid, lane, live, san_kind)
-                    if records is not None:
-                        records.append(
-                            (mem, buffer, nbytes, kind, lane, live))
+
+    def _record(self, gp, pending, prof):
+        """Hand queued emissions to the profiler, one entry at a time.
+
+        A row's arrival slot is its lane's place in :meth:`_feed`'s
+        order; the entries of one item share their rows' slots.
+        """
+        slot = 0
+        for master_rows, entries in pending:
+            nrows = len(master_rows)
+            position = np.empty(gp.nlanes, dtype=np.int64)
+            position[master_rows] = np.arange(slot, slot + nrows)
+            for entry in entries:
+                if entry is not None:
+                    tensor, kind, offs_sel, mask_sel, rows = entry
+                    prof.record_rows(tensor, kind, gp.lane_arr[rows],
+                                     offs_sel, mask_sel, position[rows])
+            slot += nrows
 
 
 # -- kernel identity -----------------------------------------------------------

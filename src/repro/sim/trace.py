@@ -265,9 +265,6 @@ class _TraceReplay:
     def emit(self, gp, master_rows, entries):
         pass
 
-    def emit_entry_order(self, gp, entry):
-        pass
-
     def tma_commit(self):
         # Barriers are not replayed, so there is no TMA ledger to keep.
         pass

@@ -1,16 +1,20 @@
 """Bank-conflict rule and static analysis tests."""
 
+import numpy as np
 from hypothesis import given, strategies as st
 
 from repro.layout.layout import row_major
 from repro.layout.swizzle import Swizzle
 from repro.sim.banks import (
     access_degree, column_access_degree, ldmatrix_conflict_degree,
+    wavefront_degrees,
 )
 from repro.sim.profiler import (
     MAX_VECTOR_BYTES, SMEM_WAVEFRONT_BYTES, WARP_SIZE, Profiler,
 )
 from repro.tensor import FP16, FP32, FP64, SH, Tensor
+
+from .profiler_oracle import wavefront_degree as one_wavefront_degree
 
 
 class TestAccessDegree:
@@ -29,6 +33,18 @@ class TestAccessDegree:
         assert access_degree(
             [[16 * i + b for b in range(0, 16, 4)] for i in range(8)]
         ) == 1
+
+
+@given(st.lists(st.lists(st.integers(-64, 4096), max_size=40),
+                min_size=1, max_size=8))
+def test_batched_bank_rule_matches_one_wavefront_at_a_time(waves):
+    """The profiler's batched rule against a per-bank count of each
+    wavefront on its own (empty wavefronts included)."""
+    wave_ids = np.repeat(np.arange(len(waves)), [len(w) for w in waves])
+    words = np.array([word for wave in waves for word in wave],
+                     dtype=np.int64)
+    degrees = wavefront_degrees(wave_ids, words, len(waves))
+    assert degrees.tolist() == [one_wavefront_degree(w) for w in waves]
 
 
 class TestLdmatrixDegree:

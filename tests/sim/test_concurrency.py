@@ -1,8 +1,8 @@
-"""Thread-safety stress tests for the shared-simulator caches.
+"""Thread-safety stress tests for the shared simulator.
 
 One :class:`~repro.sim.interp.Simulator` serves every thread here: the
-plan cache and the per-spec profiler charge caches are shared state,
-and these tests drive them with same-kernel and mixed-kernel traffic to
+plan cache and the compiled plans it hands out are shared state, and
+these tests drive them with same-kernel and mixed-kernel traffic to
 prove lookups, compilations and counter updates stay coherent.
 """
 
@@ -86,10 +86,9 @@ def test_mixed_kernel_traffic_is_race_free():
 
 
 @pytest.mark.parametrize("profile", [False, True])
-def test_profiled_traffic_keeps_charge_caches_coherent(profile):
-    # The profiler charge cache lives on shared _SpecPlan objects; a
-    # profiled run per thread must produce the same counters as a
-    # profiled run alone.
+def test_concurrent_profiled_runs_match_a_solo_run(profile):
+    # Threads replay one shared compiled plan; each profiled run must
+    # report exactly what a profiled run alone does.
     sim = Simulator(ARCH)
     kernel = _kernel()
     rng = np.random.default_rng(2)
@@ -108,7 +107,7 @@ def test_profiled_traffic_keeps_charge_caches_coherent(profile):
         profiles = list(pool.map(launch, range(12)))
     if profile:
         for measured in profiles:
-            assert measured.global_transactions == solo.global_transactions
-            assert measured.barriers == solo.barriers
+            assert measured.as_dict() == solo.as_dict()
+            assert measured.events == solo.events
     else:
         assert all(p is None for p in profiles)

@@ -1,5 +1,7 @@
 """Unit tests for data tensors: construction, views, indexing."""
 
+import pickle
+
 import pytest
 
 from repro.ir.expr import Var
@@ -23,6 +25,12 @@ class TestConstruction:
 
     def test_default_memory_is_global(self):
         assert tensor("A", (4,), FP32).mem == GL
+
+    @pytest.mark.parametrize("mem", [GL, SH, RF])
+    def test_unpickled_memory_space_is_the_singleton(self, mem):
+        # The profiler tells memory spaces apart by identity.
+        a = pickle.loads(pickle.dumps(tensor("A", (4, 8), FP16, mem)))
+        assert a.mem is mem
 
     def test_immutable(self):
         a = tensor("A", (4, 8), FP16)
