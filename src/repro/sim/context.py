@@ -72,7 +72,8 @@ class ExecCtx:
             live = offsets if mask is None else \
                 [o for o, ok in zip(offsets, mask) if ok]
             if san is not None:
-                san.record(tensor, self.block_id, lane, live, "read")
+                san.record(self.block_id, (lane,),
+                           ((tensor, "read", (live,), None, None),))
             if prof is not None:
                 prof.record(tensor, lane, live,
                             "bulk_read" if bulk else "read")
@@ -107,7 +108,8 @@ class ExecCtx:
             if not live:
                 return
             if san is not None:
-                san.record(tensor, self.block_id, lane, live, "write")
+                san.record(self.block_id, (lane,),
+                           ((tensor, "write", (live,), None, None),))
             if prof is not None:
                 prof.record(tensor, lane, live, kind)
             buf = self._buffer(tensor, lane, max(live) + 1)
@@ -117,7 +119,8 @@ class ExecCtx:
                     buf[off] = val
         else:
             if san is not None:
-                san.record(tensor, self.block_id, lane, offsets, "write")
+                san.record(self.block_id, (lane,),
+                           ((tensor, "write", (offsets,), None, None),))
             if prof is not None:
                 prof.record(tensor, lane, offsets, kind)
             buf = self._buffer(tensor, lane, max(offsets) + 1)

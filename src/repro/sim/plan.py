@@ -21,11 +21,13 @@ The plan layer sits under ``Simulator.run``:
   replays across the whole grid, with every cross-block-invariant index
   array computed exactly once.
 * Observers are fed from the same index arrays the numerics use.  The
-  sanitizer is replayed in the reference engine's exact per-lane
-  emission order; the profiler gets each emission entry whole (lanes,
-  offset matrix, mask) with every row's arrival slot in that order, and
-  charges it in bulk.  ``RunResult.machine/profile/sanitizer`` outputs
-  are bit-identical to the reference interpreter.
+  sanitizer gets each emitted item whole (its lanes in arrival order
+  and every entry's offset matrix, mask and rows) and checks it as the
+  reference engine's per-lane emission order would; the profiler gets
+  each emission entry (lanes, offset matrix, mask) with every row's
+  arrival slot in that order.  Both check in bulk.
+  ``RunResult.machine/profile/sanitizer`` outputs are bit-identical to
+  the reference interpreter.
 
 Atomics without a vectorized runner fall back to the scalar executor
 through :class:`~repro.sim.context.ExecCtx`, with register-file state
@@ -734,13 +736,6 @@ def _select_runner(spec, atomic):
 
 
 # -- replay engine -------------------------------------------------------------
-#: Emission-entry kind -> the access kind the sanitizer sees (TMA bulk
-#: traffic is an ordinary read/write to it; only the profiler tells
-#: them apart).
-_SANITIZER_KIND = {"read": "read", "write": "write",
-                   "bulk_read": "read", "bulk_write": "write"}
-
-
 class _Replay:
     """Mutable per-block state while replaying one compiled plan."""
 
@@ -980,50 +975,36 @@ class _Replay:
             self._pending.append((master_rows, entries))
 
     def _feed(self, gp, pending, san):
-        """Replay queued emissions into the sanitizer, lane by lane.
+        """Hand each queued item to the sanitizer in one call.
 
-        Per queued item the order is lanes-outer entries-inner (reads
-        and writes of one lane before the next lane) — exactly the
-        reference engine's per-lane record order, which the
-        order-sensitive sanitizer hazard classification requires.
+        An item's lanes are its master rows' threads in arrival order;
+        an entry whose rows are a filtered subset of the master rows
+        names the positions they hold.
         """
-        lanes = gp.lanes
-        bid = self.bid
         for master_rows, entries in pending:
-            prepared = []
+            position = None
+            items = []
             for entry in entries:
                 if entry is None:
                     continue
                 tensor, kind, offs_sel, mask_sel, rows = entry
-                # Entries that kept the master row set align by
-                # position; filtered writes need the value -> position
-                # map.
-                rowmap = None if rows is master_rows else {
-                    int(r): i for i, r in enumerate(rows)
-                }
-                prepared.append((tensor, offs_sel, mask_sel, rowmap,
-                                 _SANITIZER_KIND[kind]))
-            if not prepared:
-                continue
-            for pos, r in enumerate(master_rows):
-                lane = lanes[int(r)]
-                for tensor, offs_sel, mask_sel, rowmap, san_kind in prepared:
-                    if rowmap is None:
-                        i = pos
-                    else:
-                        i = rowmap.get(int(r))
-                        if i is None:
-                            continue
-                    row = offs_sel[i]
-                    live = row if mask_sel is None else row[mask_sel[i]]
-                    if live.size:
-                        san.record(tensor, bid, lane, live, san_kind)
+                if rows is not master_rows:
+                    if position is None:
+                        position = np.empty(gp.nlanes, dtype=np.int64)
+                        position[master_rows] = np.arange(len(master_rows))
+                    rows = position[rows]
+                else:
+                    rows = None
+                items.append((tensor, kind, offs_sel, mask_sel, rows))
+            if items:
+                san.record(self.bid, gp.lane_arr[master_rows], items)
 
     def _record(self, gp, pending, prof):
         """Hand queued emissions to the profiler, one entry at a time.
 
-        A row's arrival slot is its lane's place in :meth:`_feed`'s
-        order; the entries of one item share their rows' slots.
+        A row's arrival slot is its lane's place in the item order the
+        sanitizer walks; the entries of one item share their rows'
+        slots.
         """
         slot = 0
         for master_rows, entries in pending:

@@ -20,6 +20,7 @@ the result through their ``from_tuned(...)`` constructors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
@@ -101,6 +102,33 @@ def _resolve_cache(cache) -> Optional[TuningCache]:
     return TuningCache(cache)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and math.isfinite(value)
+
+
+def _cached_winner(space: ConfigSpace, shape: Dict[str, int],
+                   arch: Architecture, entry) -> Optional[tuple]:
+    """``(winner, score_us, launches)`` of a well-formed cache entry whose
+    ``params`` name a candidate of ``space`` at this shape; None for any
+    other entry (a missing or mistyped field, a hand-edited config)."""
+    if not isinstance(entry, dict):
+        return None
+    params = entry.get("params")
+    score_us = entry.get("score_us")
+    launches = entry.get("launches", 1)
+    if not isinstance(params, dict) or not _is_number(score_us) \
+            or not isinstance(launches, int) or isinstance(launches, bool):
+        return None
+    try:
+        winner = space.candidate_from_params(params)
+    except (TypeError, ValueError):
+        return None
+    if winner not in space.candidates(shape, arch):
+        return None
+    return winner, float(score_us), launches
+
+
 #: Cached neighbour winners consulted when ``transfer=True``.
 TRANSFER_NEIGHBOURS = 2
 
@@ -153,15 +181,18 @@ def tune(
         if cache_obj is not None and not force:
             entry = cache_obj.get(key)
             if entry is not None:
-                winner = space.candidate_from_params(entry["params"])
-                return TuningResult(
-                    family=space.family, shape=shape, arch=architecture,
-                    space=space, winner=winner,
-                    score_seconds=entry["score_us"] * 1e-6,
-                    launches=entry.get("launches", 1), cost=None,
-                    cache_hit=True, cache_key=key,
-                    cache_stats=cache_obj.stats,
-                )
+                hit = _cached_winner(space, shape, architecture, entry)
+                if hit is None:
+                    cache_obj.reject(key)
+                else:
+                    winner, score_us, launches = hit
+                    return TuningResult(
+                        family=space.family, shape=shape,
+                        arch=architecture, space=space, winner=winner,
+                        score_seconds=score_us * 1e-6, launches=launches,
+                        cost=None, cache_hit=True, cache_key=key,
+                        cache_stats=cache_obj.stats,
+                    )
 
         seeds: List[Candidate] = []
         if transfer and cache_obj is not None:

@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 
 from repro.arch import architecture
+from repro.conformance.harness import default_cases
 from repro.kernels.config import NaiveGemmConfig
 from repro.kernels.gemm import build
-from repro.sim import RunOptions, Simulator
+from repro.sim import RunOptions, Simulator, strip_barriers
+from repro.sim.sanitizer import verdict
 
 ARCH = architecture("ampere")
 
@@ -111,3 +113,26 @@ def test_concurrent_profiled_runs_match_a_solo_run(profile):
             assert measured.events == solo.events
     else:
         assert all(p is None for p in profiles)
+
+
+@pytest.mark.parametrize("mutant", [False, True])
+def test_concurrent_sanitized_runs_match_a_solo_run(mutant):
+    # The sanitizer is per run; nothing it keeps may live on the shared
+    # plan.  Every thread must reach a solo run's verdict, races and all.
+    (case,) = [c for c in default_cases() if c.name == "gemm_ampere"]
+    kernel = strip_barriers(case.kernel) if mutant else case.kernel
+    sim = Simulator(case.arch)
+    options = RunOptions(engine="vectorized", sanitize="report")
+
+    def launch(_=None):
+        run = sim.run(kernel, {k: np.array(v, copy=True)
+                               for k, v in case.arrays.items()},
+                      symbols=case.symbols, options=options)
+        return verdict(run.sanitizer)
+
+    solo = launch()
+    assert bool(solo[0]) == mutant
+    with ThreadPoolExecutor(max_workers=12) as pool:
+        verdicts = list(pool.map(launch, range(12)))
+    assert all(v == solo for v in verdicts)
+    assert len(sim.plan_cache) == 1

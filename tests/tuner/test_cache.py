@@ -157,7 +157,8 @@ class TestStats:
             cache.get("missing")
             cache.put("k", ENTRY)
             cache.get("k")
-            assert cache.stats == {"hits": 1, "misses": 1, "entries": 1}
+            assert cache.stats == {"hits": 1, "misses": 1, "invalid": 0,
+                                   "entries": 1}
         reloaded = TuningCache(path)
         assert reloaded.hits == 1
         assert reloaded.misses == 1
