@@ -21,8 +21,11 @@ calibrated cost model's agreement with the default roofline
 (:func:`repro.perfmodel.fit_coefficients` /
 :class:`repro.perfmodel.FittedOracle`).  The headline number is the
 wall-clock reduction of parallel+transfer over serial; the target is
-``TARGET_SPEEDUP`` (>= 5x).  ``python -m repro.eval tuner-bench`` runs
-it and exits 1 when the target is missed.
+``TARGET_SPEEDUP`` (>= 5x); the artifact also splits it into the
+worker pool's effect (serial vs parallel) and the transfer effect
+(parallel vs parallel+transfer), and records the serial sweep's gate
+verdicts per shape.  ``python -m repro.eval tuner-bench`` runs it and
+exits 1 when the target is missed.
 """
 
 from __future__ import annotations
@@ -238,6 +241,11 @@ def run_tuner_bench(
 
     speedup = (serial_wall / transfer_wall
                if transfer_wall and transfer_wall > 0 else None)
+    # The headline splits into the worker pool's effect (same sweep,
+    # serial vs fleet) and the transfer effect (fleet, cold vs seeded).
+    pool_effect = serial_wall / parallel_wall if parallel_wall > 0 else None
+    transfer_effect = (parallel_wall / transfer_wall
+                       if transfer_wall and transfer_wall > 0 else None)
     payload = {
         "bench": "tuner",
         "arch": architecture.name,
@@ -252,6 +260,10 @@ def run_tuner_bench(
                 "per_family_seconds": {
                     f: round(s, 3) for f, s in serial_family.items()},
                 "search": "exhaustive", "top_k": 3, "workers": 1,
+                "gate_verdicts": {
+                    f"{family}|{shape}": rec["fingerprint"]["gate"]
+                    for (family, shape), rec in
+                    sorted(serial_records.items())},
             },
             "parallel": {
                 "wall_seconds": round(parallel_wall, 3),
@@ -278,6 +290,10 @@ def run_tuner_bench(
         },
         "speedup_parallel_transfer_vs_serial": (
             round(speedup, 2) if speedup else None),
+        "speedup_parallel_vs_serial": (
+            round(pool_effect, 2) if pool_effect else None),
+        "speedup_transfer_vs_parallel": (
+            round(transfer_effect, 2) if transfer_effect else None),
         "target_speedup": TARGET_SPEEDUP,
         "meets_target": bool(speedup and speedup >= TARGET_SPEEDUP),
         "oracle": _oracle_report(architecture, seed),
