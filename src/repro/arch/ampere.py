@@ -11,7 +11,6 @@ from __future__ import annotations
 from ..specs.atomic import AtomicSpec, OperandPattern as Op
 from ..tensor.dtypes import FP16, FP32
 from ..tensor.memspace import GL, RF, SH
-from . import instructions as X
 from .atomics import common_atomics, generic_move, ldmatrix_atomics
 from .gpu import Architecture, register
 
@@ -28,7 +27,6 @@ def _ampere_atomics():
                 Op(mem=RF, dtype=FP16, shape=(2,), tile_shape=(2,)),
             ],
             [Op(mem=RF, dtype=FP32, shape=(2,), tile_shape=(2,))],
-            execute=X.exec_mma_16816,
         )
     )
     # Asynchronous global-to-shared copies (bypass the register file).
@@ -39,7 +37,6 @@ def _ampere_atomics():
                 f"cp.async.cg.shared.global [{dtype.name} x{n}]", 1,
                 [Op(mem=GL, dtype=dtype, shape=(n,), contiguous=True)],
                 [Op(mem=SH, dtype=dtype, shape=(n,))],
-                execute=X.exec_thread_move,
             )
         )
     table.append(generic_move())

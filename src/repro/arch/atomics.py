@@ -14,13 +14,10 @@ from typing import List
 from ..specs.atomic import AtomicSpec, OperandPattern as Op
 from ..tensor.dtypes import FP16, FP32
 from ..tensor.memspace import GL, RF, SH
-from . import instructions as X
 
 
-def _move(name, instruction, width, src, dst, execute=X.exec_thread_move):
-    return AtomicSpec(
-        name, "Move", instruction, width, [src], [dst], execute=execute,
-    )
+def _move(name, instruction, width, src, dst):
+    return AtomicSpec(name, "Move", instruction, width, [src], [dst])
 
 
 def vector_moves() -> List[AtomicSpec]:
@@ -72,39 +69,33 @@ def compute_atomics() -> List[AtomicSpec]:
             "hfma2", "MatMul", "hfma2", 1,
             [Op(dtype=FP16, shape=(2,)), Op(dtype=FP16, shape=(2,))],
             [Op(dtype=FP16, shape=(2,))],
-            execute=X.exec_thread_matmul,
         ),
         AtomicSpec(
             "hfma", "MatMul", "hfma", 1,
             [Op(dtype=FP16, shape=()), Op(dtype=FP16, shape=())],
             [Op(dtype=FP16, shape=())],
-            execute=X.exec_thread_matmul,
         ),
         AtomicSpec(
             "fmaf", "MatMul", "fmaf", 1,
             [Op(dtype=FP32, shape=()), Op(dtype=FP32, shape=())],
             [Op(dtype=FP32, shape=())],
-            execute=X.exec_thread_matmul,
         ),
         # Mixed-precision scalar fallback (fp16 inputs, fp32 accumulator).
         AtomicSpec(
             "fma.mixed", "MatMul", "fma.rn.f32.f16", 1,
             [Op(shape=()), Op(shape=())], [Op(shape=())],
-            execute=X.exec_thread_matmul,
         ),
         AtomicSpec(
             "hadd2", "BinaryPointwise", "hadd2", 1,
             [Op(dtype=FP16, shape=(2,)), Op(dtype=FP16, shape=(2,))],
             [Op(dtype=FP16, shape=(2,))],
             predicate=lambda s: s.op.name == "add",
-            execute=X.exec_thread_binary,
         ),
         AtomicSpec(
             "hmul", "BinaryPointwise", "hmul", 1,
             [Op(dtype=FP16, shape=()), Op(dtype=FP16, shape=())],
             [Op(dtype=FP16, shape=())],
             predicate=lambda s: s.op.name == "mul",
-            execute=X.exec_thread_binary,
         ),
     ]
     # Generic per-thread compute fallbacks (element counts must agree,
@@ -115,22 +106,18 @@ def compute_atomics() -> List[AtomicSpec]:
                 AtomicSpec(
                     "binary.thread", "BinaryPointwise", "<op>", 1,
                     [Op(), Op()], [Op()],
-                    execute=X.exec_thread_binary,
                 ),
                 AtomicSpec(
                     "unary.thread", "UnaryPointwise", "<op>", 1,
                     [Op()], [Op()],
-                    execute=X.exec_thread_unary,
                 ),
                 AtomicSpec(
                     "reduce.thread", "Reduction", "<op-chain>", 1,
                     [Op()], [Op()],
-                    execute=X.exec_thread_reduction,
                 ),
                 AtomicSpec(
                     "init.thread", "Init", "mov", 1,
                     [], [Op()],
-                    execute=X.exec_thread_init,
                 ),
             ]
         )
@@ -138,7 +125,6 @@ def compute_atomics() -> List[AtomicSpec]:
         AtomicSpec(
             "shfl.bfly", "Shfl", "shfl.sync.bfly.b32", 32,
             [Op(mem=RF)], [Op(mem=RF)],
-            execute=X.exec_shfl_bfly,
         )
     )
     # Accumulator write-back: convert fp32 register pairs to fp16 and
@@ -150,7 +136,6 @@ def compute_atomics() -> List[AtomicSpec]:
                 f"cvt.st.global.f16x{n}", "Move", inst, 1,
                 [Op(mem=RF, dtype=FP32, shape=(n,), contiguous=True)],
                 [Op(mem=GL, dtype=FP16, shape=(n,))],
-                execute=X.exec_thread_move,
             )
         )
     return table
@@ -178,7 +163,6 @@ def ldmatrix_atomics() -> List[AtomicSpec]:
                         (lambda s: "trans" in s.label) if trans
                         else (lambda s: "trans" not in s.label)
                     ),
-                    execute=X.make_exec_ldmatrix(num, trans),
                 )
             )
     return table
@@ -188,7 +172,7 @@ def generic_move() -> AtomicSpec:
     """Last-resort per-thread elementwise copy (an unrolled ld/st loop)."""
     return AtomicSpec(
         "move.thread.generic", "Move", "ld/st loop", 1,
-        [Op()], [Op()], execute=X.exec_thread_move,
+        [Op()], [Op()],
     )
 
 

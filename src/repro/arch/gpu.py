@@ -70,7 +70,8 @@ class Architecture:
 
     def __reduce__(self):
         # Architectures pickle by name and unpickle to the registry
-        # singleton, so atomic executor functions never serialize.
+        # singleton, so atomic tables (their predicates are lambdas)
+        # never serialize.
         return (architecture, (self.name,))
 
     def supports(self, feature: str) -> bool:

@@ -19,13 +19,13 @@ from __future__ import annotations
 from ..specs.atomic import AtomicSpec, OperandPattern as Op
 from ..tensor.dtypes import FP8E4M3, FP8E5M2, FP16, FP32, INT32
 from ..tensor.memspace import GL, RF, SH
-from . import instructions as X
 from .ampere import _ampere_atomics
 from .gpu import Architecture, register
 
 WGMMA_F16 = "wgmma.mma_async.sync.aligned.m64n64k16.f32.f16.f16"
 WGMMA_E4M3 = "wgmma.mma_async.sync.aligned.m64n64k32.f32.e4m3.e4m3"
 TMA_G2S = "cp.async.bulk.tensor.2d.shared.global"
+SPARSE24_DECOMPRESS = "sparse24.decompress [smem expand]"
 
 
 def _is_tma(spec) -> bool:
@@ -49,7 +49,6 @@ def _hopper_atomics():
                 Op(mem=SH, dtype=FP16, shape=(16, 64)),
             ],
             [Op(mem=RF, dtype=FP32, shape=(4, 8))],
-            execute=X.make_exec_wgmma(WGMMA_F16),
         )
     )
     table.append(
@@ -60,7 +59,6 @@ def _hopper_atomics():
                 Op(mem=SH, dtype=FP8E4M3, shape=(32, 64)),
             ],
             [Op(mem=RF, dtype=FP32, shape=(4, 8))],
-            execute=X.make_exec_wgmma(WGMMA_E4M3),
         )
     )
     # TMA bulk tensor copies: one instruction per whole 2-D tile,
@@ -73,19 +71,16 @@ def _hopper_atomics():
                 [Op(mem=GL, dtype=dtype)],
                 [Op(mem=SH, dtype=dtype)],
                 predicate=_is_tma,
-                execute=X.exec_tma_bulk_g2s,
             )
         )
     # 2:4 structured sparsity: expand a compressed (m, k/2) operand tile
     # plus its metadata to the dense (m, k) tile the wgmma consumes.
     table.append(
         AtomicSpec(
-            "sparse24.decompress", "Spec",
-            "sparse24.decompress [smem expand]", 128,
+            "sparse24.decompress", "Spec", SPARSE24_DECOMPRESS, 128,
             [Op(mem=SH, dtype=FP16), Op(mem=SH, dtype=INT32)],
             [Op(mem=SH, dtype=FP16)],
             predicate=_is_sparse24,
-            execute=X.exec_sparse24_decompress,
         )
     )
     table.extend(_ampere_atomics())

@@ -2,7 +2,7 @@
 
 Two independent execution paths must agree on what each inline-PTX
 instruction *does*: the functional simulator executes atomic specs
-straight from the IR (:mod:`repro.arch.instructions`), while the
+straight from the IR (:mod:`repro.sim.plan`), while the
 conformance emulator (:mod:`repro.codegen.emulator`) executes the
 ``asm volatile`` blocks of the *generated CUDA text*.  This module is
 the single source of truth both dispatch to — pure numpy functions over
@@ -20,6 +20,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from ..layout import inttuple as it
 from . import fragments as frag
 
 
@@ -249,6 +250,34 @@ def shfl_bfly(values: Sequence, xor_mask: int) -> List:
             peer = li
         out.append(values[peer])
     return out
+
+
+def sparse24_expand(comp, comp_vals: np.ndarray,
+                    meta_vals: np.ndarray) -> np.ndarray:
+    """The dense tile (colex order) a 2:4-compressed ``comp`` tile expands to.
+
+    ``comp_vals``/``meta_vals`` are the compressed values and metadata
+    in colex order.  Metadata entry ``(i, 2g+h)`` names the column
+    (0..3) that value ``h`` of group ``g`` occupies; per group the two
+    indices must be distinct and ascending.  Pruned positions are zero.
+    """
+    m, half_k = tuple(it.flatten(comp.layout.shape))
+    comp_mat = comp_vals.reshape((m, half_k), order="F")
+    meta_mat = meta_vals.reshape((m, half_k), order="F").astype(np.int64)
+    if np.any(meta_mat < 0) or np.any(meta_mat > 3):
+        raise ValueError("2:4 metadata indices must be in 0..3")
+    lo, hi = meta_mat[:, 0::2], meta_mat[:, 1::2]
+    if np.any(lo >= hi):
+        raise ValueError(
+            "2:4 metadata must name two distinct ascending columns "
+            "per group of four"
+        )
+    out = np.zeros((m, 2 * half_k), dtype=comp_mat.dtype)
+    rows = np.arange(m)[:, None]
+    groups = np.arange(half_k // 2)[None, :]
+    out[rows, 4 * groups + lo] = comp_mat[:, 0::2]
+    out[rows, 4 * groups + hi] = comp_mat[:, 1::2]
+    return np.ravel(out, order="F")
 
 
 def _ampere_mma() -> MmaSemantics:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from ..specs.atomic import AtomicSpec, OperandPattern as Op
 from ..tensor.dtypes import FP16, FP32
 from ..tensor.memspace import GL, RF, SH
-from . import instructions as X
 from .atomics import common_atomics, generic_move
 from .gpu import Architecture, register
 
@@ -27,7 +26,6 @@ def _volta_atomics():
                 Op(mem=RF, dtype=FP16, shape=(4,)),
             ],
             [Op(mem=RF, dtype=FP32, shape=(2, 4))],
-            execute=X.exec_mma_884,
         )
     )
     # Global-to-shared staging: one LDG+STS pair per thread.
@@ -38,14 +36,12 @@ def _volta_atomics():
                 "ld.global + st.shared", 1,
                 [Op(mem=GL, dtype=dtype, shape=(n,), contiguous=True)],
                 [Op(mem=SH, dtype=dtype, shape=(n,))],
-                execute=X.exec_thread_move,
             )
         )
     table.append(
         AtomicSpec(
             "ldg.sts.scalar", "Move", "ld.global + st.shared", 1,
             [Op(mem=GL, shape=())], [Op(mem=SH, shape=())],
-            execute=X.exec_thread_move,
         )
     )
     table.append(generic_move())

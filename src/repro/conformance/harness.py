@@ -306,7 +306,7 @@ def run_case(case: Case, source: Optional[KernelSource] = None,
 
     ``source`` overrides the generated CUDA (used by the mutation
     self-check); by default the kernel is printed fresh.  ``options``
-    selects the simulator engine/observers; the default sanitizes
+    selects the simulator's observers; the default sanitizes
     (conformance doubles as a race sweep over every family).
     """
     if source is None:

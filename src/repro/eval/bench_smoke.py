@@ -120,86 +120,6 @@ def _smoke_problem(figure: str, seed: int):
     return kernel, bindings
 
 
-def time_engines(figure: str, arch="ampere", seed: int = 0,
-                 repeats: int = 3) -> dict:
-    """Wall-time one smoke family under both execution engines.
-
-    Three numbers per figure: the scalar reference interpreter (its cost
-    is the same every run), the vectorized engine's *cold* first run on
-    a fresh :class:`~repro.sim.Simulator` (plan compilation included),
-    and its *warm* steady state (plan cached — the regime the tuner,
-    fuzzers, and conformance sweeps actually run in).  Each number is
-    the best of ``repeats`` timed runs with ``profile=True``, matching
-    how bench-smoke executes kernels.
-    """
-    from ..sim import RunOptions, Simulator
-
-    if isinstance(arch, str):
-        arch = architecture(arch)
-    kernel, bindings = _smoke_problem(figure, seed)
-
-    def timed(sim, options):
-        run_bindings = {k: v.copy() for k, v in bindings.items()}
-        start = time.perf_counter()
-        sim.run(kernel, run_bindings, options=options)
-        return time.perf_counter() - start
-
-    profiled = RunOptions(profile=True)
-    reference_s = min(
-        timed(Simulator(arch), profiled.merged(engine="reference"))
-        for _ in range(repeats)
-    )
-    cold_s = min(
-        timed(Simulator(arch), profiled) for _ in range(repeats)
-    )
-    warm_sim = Simulator(arch)
-    timed(warm_sim, profiled)  # compile + cache the plan
-    warm_s = min(timed(warm_sim, profiled) for _ in range(repeats))
-    return {
-        "figure": figure,
-        "kernel": kernel.name,
-        "arch": arch.name,
-        "reference_s": reference_s,
-        "vectorized_cold_s": cold_s,
-        "vectorized_warm_s": warm_s,
-        "speedup_cold": reference_s / cold_s,
-        "speedup_warm": reference_s / warm_s,
-    }
-
-
-def run_sim_speed_bench(
-    figures: Optional[List[str]] = None,
-    arch: str = "ampere",
-    outdir: str = "bench_artifacts",
-    seed: int = 0,
-    repeats: int = 3,
-) -> str:
-    """Time every smoke family on both engines; write BENCH_sim_speed.json.
-
-    The headline number is the warm (plan-cached) speedup — replaying a
-    compiled launch plan is the engine's steady state; the cold
-    first-run time is recorded alongside so compilation overhead stays
-    visible.  Returns the artifact path.
-    """
-    names = figures or sorted(smoke_families())
-    rows = [time_engines(name, arch=arch, seed=seed, repeats=repeats)
-            for name in names]
-    warm = [r["speedup_warm"] for r in rows]
-    artifact = {
-        "benchmark": "sim_speed",
-        "engines": ["reference", "vectorized"],
-        "repeats": repeats,
-        "figures": rows,
-        "summary": {
-            "min_speedup_warm": min(warm),
-            "geomean_speedup_warm": float(np.exp(np.mean(np.log(warm)))),
-            "min_speedup_cold": min(r["speedup_cold"] for r in rows),
-        },
-    }
-    return write_artifact(outdir, "BENCH_sim_speed.json", artifact,
-                          repeats=repeats)
-
-
 def time_plan_compile(figure: str, arch="ampere", seed: int = 0,
                       repeats: int = 3) -> dict:
     """Cold index-compile time for one family, linear vs expression.
@@ -214,7 +134,7 @@ def time_plan_compile(figure: str, arch="ampere", seed: int = 0,
     mode-independent, so this isolates exactly what the F2 engine
     changes.  Best-of-``repeats``.
     """
-    from ..sim import RunOptions, Simulator, access
+    from ..sim import Simulator, access
     from ..sim.access import TensorAccessor, index_compiler
 
     if isinstance(arch, str):
@@ -222,8 +142,7 @@ def time_plan_compile(figure: str, arch="ampere", seed: int = 0,
     kernel, bindings = _smoke_problem(figure, seed)
 
     with index_compiler("auto"):
-        Simulator(arch).run(kernel, bindings,
-                            options=RunOptions(engine="vectorized"))
+        Simulator(arch).run(kernel, bindings)
         built = list(access._ACCESSOR_CACHE.values())
         tensors = [a.tensor for a in built]
         linear_accessors = sum(a.compiled_via == "linear" for a in built)
@@ -378,15 +297,12 @@ def run_bench_smoke(
     arch: str = "ampere",
     outdir: str = "bench_artifacts",
     seed: int = 0,
-    sim_speed: bool = True,
     plan_compile: bool = True,
 ) -> List[str]:
     """Run the smoke benchmarks and write one artifact file per family.
 
-    Also times both execution engines over the selected families and
-    writes ``BENCH_sim_speed.json`` (``sim_speed=False`` skips it),
-    times cold plan compilation with the F2 linear index path on and
-    off into ``BENCH_plan_compile.json`` (``plan_compile=False``
+    Also times cold plan compilation with the F2 linear index path on
+    and off into ``BENCH_plan_compile.json`` (``plan_compile=False``
     skips it), and evaluates the end-to-end figure-15 report into
     ``BENCH_fig15.json`` when no family filter is given.  Returns the
     artifact paths; raises ``RuntimeError`` if any family's
@@ -407,9 +323,6 @@ def run_bench_smoke(
         paths.append(write_artifact(outdir, f"BENCH_{name}.json", artifact))
         if not artifact["passed"]:
             failures.append(name)
-    if sim_speed:
-        paths.append(run_sim_speed_bench(figures=names, arch=arch,
-                                         outdir=outdir, seed=seed))
     if plan_compile:
         paths.append(run_plan_compile_bench(figures=names, arch=arch,
                                             outdir=outdir, seed=seed))
@@ -431,6 +344,6 @@ def run_bench_smoke(
 
 __all__ = [
     "smoke_families", "run_family", "run_bench_smoke",
-    "time_engines", "run_sim_speed_bench", "run_fig15_bench",
+    "run_fig15_bench",
     "time_plan_compile", "run_plan_compile_bench",
 ]

@@ -29,7 +29,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..serve import CapturedGraph, serve_catalog
-from ..sim import RunOptions, Simulator
+from ..sim import Simulator
 from ..sim.sanitizer import verdict
 from .report import write_artifact
 
@@ -64,8 +64,7 @@ def check_family_fidelity(fam, seed: int = 0) -> dict:
     sim = Simulator(fam.arch)
     graph = CapturedGraph.capture(fam.kernel, fam.arch, fam.symbols,
                                   _copies(problem))
-    ref = sim.run(fam.kernel, _copies(problem), symbols=fam.symbols,
-                  options=RunOptions(engine="vectorized"))
+    ref = sim.run(fam.kernel, _copies(problem), symbols=fam.symbols)
     graph.replay(_copies(problem))
     outs = graph.outputs()
     outputs_ok = all(
@@ -74,8 +73,7 @@ def check_family_fidelity(fam, seed: int = 0) -> dict:
     )
     obs = graph.replay(_copies(problem), sanitize="report", profile=True)
     obs_ref = sim.run(fam.kernel, _copies(problem), symbols=fam.symbols,
-                      options=RunOptions(engine="vectorized",
-                                         sanitize="report", profile=True))
+                      sanitize="report", profile=True)
     counters_ok = (_profile_signature(obs.profile)
                    == _profile_signature(obs_ref.profile))
     sanitizer_ok = verdict(obs.sanitizer) == verdict(obs_ref.sanitizer)

@@ -30,7 +30,7 @@ import numpy as np
 from ..sim.interp import RunResult, bind_launch
 from ..sim.errors import SimulationError
 from ..sim.machine import Machine
-from ..sim.options import RunOptions, resolve_run_options
+from ..sim.options import RunOptions
 from ..sim.plan import LaunchPlan, kernel_fingerprint
 from ..sim.profiler import Profiler
 from ..sim.sanitizer import Sanitizer
@@ -131,12 +131,6 @@ class CapturedGraph:
         """
         start = time.perf_counter()
         self = cls.__new__(cls)
-        opts = resolve_run_options(options)
-        if opts.engine != "vectorized":
-            raise SimulationError(
-                "graph capture requires the vectorized engine; the "
-                f"reference interpreter cannot replay (got {opts.engine!r})"
-            )
         symbols = dict(symbols or {})
         slots = {
             name: np.array(np.asarray(array), copy=True)
@@ -154,7 +148,7 @@ class CapturedGraph:
         self.kernel = kernel
         self.arch = arch
         self.symbols = symbols
-        self.options = opts
+        self.options = options if options is not None else RunOptions()
         self.slots = slots
         self.machine = machine
         self.plan = plan
@@ -238,17 +232,17 @@ class CapturedGraph:
         arrays are never mutated; read results from the machine or via
         :meth:`outputs` / the copies in ``RunResult.machine``.
         """
-        opts = resolve_run_options(self.options, sanitize=sanitize,
-                                   profile=profile)
+        if sanitize is None:
+            sanitize = self.options.sanitize
+        if profile is None:
+            profile = self.options.profile
         self._copy_in(bindings)
         self._reset_machine()
-        sanitizer = Sanitizer() if opts.sanitize else None
-        profiler = Profiler() if opts.profile else None
+        sanitizer = Sanitizer() if sanitize else None
+        profiler = Profiler() if profile else None
         if sanitizer is not None:
             for buffer, mem, size in self.declarations:
                 sanitizer.declare(buffer, mem, size)
-        self.machine.sanitizer = sanitizer
-        self.machine.profiler = profiler
         if sanitizer is None and profiler is None and self.trace is not None:
             # Observers-off fast path: replay the recorded execution
             # trace (bit-identical outputs; block scratch stays in
@@ -258,7 +252,7 @@ class CapturedGraph:
             self.plan.replay(self.machine, self.symbols, sanitizer,
                              profiler)
         self.replay_count += 1
-        if sanitizer is not None and opts.sanitize != "report":
+        if sanitizer is not None and sanitize != "report":
             sanitizer.raise_if_dirty()
         kernel_profile = None
         if profiler is not None:

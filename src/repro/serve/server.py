@@ -27,7 +27,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from ..sim.options import RunOptions, resolve_run_options
+from ..sim.options import RunOptions
 from .cache import DEFAULT_BUDGET_BYTES, GraphCache
 from .graph import CapturedGraph, GraphKey, graph_key
 from .metrics import ServerMetrics
@@ -59,7 +59,7 @@ class KernelServer:
         max_batch: int = 32,
         options: Optional[RunOptions] = None,
     ):
-        self.options = resolve_run_options(options)
+        self.options = options if options is not None else RunOptions()
         self.graph_cache = GraphCache(budget_bytes)
         self.metrics = ServerMetrics()
         self.batch_window_s = batch_window_s

@@ -4,11 +4,10 @@ from .access import (
     TensorAccessor, accessor, clear_accessor_caches, compile_expr,
     get_index_compiler, index_compiler, set_index_compiler, tile_views,
 )
-from .context import ExecCtx
 from .errors import SimulationError
 from .interp import RunResult, Simulator, bind_launch
 from .machine import Machine
-from .options import ENGINES, RunOptions, resolve_run_options
+from .options import RunOptions
 from .plan import (
     CacheStats, LaunchPlan, PlanCache, kernel_fingerprint, plan_cache_key,
 )
@@ -21,9 +20,9 @@ __all__ = [
     "TensorAccessor", "accessor", "clear_accessor_caches",
     "compile_expr", "get_index_compiler", "index_compiler",
     "set_index_compiler", "tile_views",
-    "ExecCtx", "RunResult", "SimulationError", "Simulator", "bind_launch",
+    "RunResult", "SimulationError", "Simulator", "bind_launch",
     "Machine",
-    "ENGINES", "RunOptions", "resolve_run_options",
+    "RunOptions",
     "CacheStats", "LaunchPlan", "PlanCache", "kernel_fingerprint",
     "plan_cache_key",
     "KernelProfile", "Profiler", "SpecCounters",

@@ -1,4 +1,4 @@
-"""Simulator error types (shared by the interpreter and the plan engine)."""
+"""Simulator error types."""
 
 from __future__ import annotations
 

@@ -25,12 +25,6 @@ class Machine:
         self._shared: Dict[Tuple[int, str], np.ndarray] = {}
         self._regs: Dict[Tuple[int, int, str], np.ndarray] = {}
         self._declared: Dict[str, Tuple[DType, int]] = {}
-        #: Optional :class:`repro.sim.sanitizer.Sanitizer` observing
-        #: every element access (attached by ``Simulator.run``).
-        self.sanitizer = None
-        #: Optional :class:`repro.sim.profiler.Profiler` riding the same
-        #: access funnel (attached by ``Simulator.run(profile=True)``).
-        self.profiler = None
         #: Outstanding (committed, un-awaited) TMA bulk copies per block.
         self._tma_pending: Dict[int, int] = {}
 

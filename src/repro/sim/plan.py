@@ -1,17 +1,18 @@
-"""Compiled launch plans: the vectorized simulator execution engine.
+"""Compiled launch plans: the simulator's execution engine.
 
-The reference interpreter (:mod:`repro.sim.interp`, ``engine="reference"``)
-re-walks the statement tree once per block and re-evaluates layout index
-expressions per lane and per element in pure Python.  Graphene layouts
-are affine integer-tuple maps, so the full data-to-thread mapping of
-each spec can instead be *compiled once* into numpy index arrays and
-executed as batched gathers/scatters across all lanes of a spec at once.
+Graphene layouts are affine integer-tuple maps, so the full
+data-to-thread mapping of each spec is *compiled once* into numpy index
+arrays and executed as batched gathers/scatters across all lanes of a
+spec at once.
 
 The plan layer sits under ``Simulator.run``:
 
 * :class:`LaunchPlan` lowers a kernel's decomposition tree into a
   replayable node tree with pre-compiled loop bounds, predicate splits
-  and per-spec :class:`_SpecPlan` executors.
+  and per-spec :class:`_SpecPlan` executors.  Every leaf atomic is
+  bound to a vectorized runner at compile time (:func:`_runner_for`);
+  an atomic without one is a :class:`SimulationError` before anything
+  executes.
 * :class:`ViewPlan` precomputes each tensor view's ``(lane, element) ->
   flat offset`` index array (and guard mask).  Arrays are cached keyed
   on the values of the view's free variables: loop-invariant views are
@@ -22,16 +23,13 @@ The plan layer sits under ``Simulator.run``:
   array computed exactly once.
 * Observers are fed from the same index arrays the numerics use.  The
   sanitizer gets each emitted item whole (its lanes in arrival order
-  and every entry's offset matrix, mask and rows) and checks it as the
-  reference engine's per-lane emission order would; the profiler gets
-  each emission entry (lanes, offset matrix, mask) with every row's
-  arrival slot in that order.  Both check in bulk.
-  ``RunResult.machine/profile/sanitizer`` outputs are bit-identical to
-  the reference interpreter.
+  and every entry's offset matrix, mask and rows) and checks it in the
+  per-lane order the lanes issue it: lanes outer, entries inner; the
+  profiler gets each emission entry (lanes, offset matrix, mask) with
+  every row's arrival slot in that order.  Both check in bulk.
 
-Atomics without a vectorized runner fall back to the scalar executor
-through :class:`~repro.sim.context.ExecCtx`, with register-file state
-flushed/reloaded around the call.
+The per-lane reference interpreter these semantics are verified
+against lives with the tests, as an oracle.
 """
 
 from __future__ import annotations
@@ -48,6 +46,7 @@ import numpy as np
 
 from ..arch import fragments as frag
 from ..arch import ptx
+from ..arch.hopper import SPARSE24_DECOMPRESS, TMA_G2S
 from ..ir.stmt import Barrier, Block, Comment, ForLoop, If, SpecStmt
 from ..layout import inttuple as it
 from ..layout.linear import LinearLayoutError, to_linear
@@ -56,7 +55,6 @@ from ..specs.base import Allocate, Init, Move
 from ..tensor.memspace import GL, RF, SH
 from ..tensor.tensor import Tensor, Tile
 from .access import accessor, compile_expr, tile_views
-from .context import ExecCtx
 from .errors import SimulationError
 
 #: Per-view cap on cached (offsets, mask) entries; loop-variant views
@@ -177,13 +175,13 @@ class GroupPlan:
 class _RegFile:
     """Batched per-block register-file storage for one replay.
 
-    The reference engine keeps one numpy array per ``(block, thread,
-    name)``; gathering across lanes then costs a Python loop.  During a
-    vectorized replay each register buffer is staged as one
-    ``(nthreads, capacity)`` array indexed by absolute lane id, and
-    :meth:`flush` materialises the per-thread ``machine._regs`` entries
-    (sized exactly as the reference engine would have sized them) at
-    block end or before a scalar-fallback spec.
+    The machine keeps one numpy array per ``(block, thread, name)``;
+    gathering across lanes from those would cost a Python loop.  During
+    a replay each register buffer is staged as one ``(nthreads,
+    capacity)`` array indexed by absolute lane id, and :meth:`flush`
+    materialises the per-thread ``machine._regs`` entries at block end,
+    each sized to the thread's declared extent or its highest touched
+    offset, whichever is larger.
     """
 
     __slots__ = ("_machine", "_bid", "_nthreads", "_arrays", "_maxreq",
@@ -230,27 +228,6 @@ class _RegFile:
                 t = int(t)
                 size = max(dsize, int(maxreq[t]))
                 regs[(self._bid, t, name)] = arr[t, :size].copy()
-
-    def reload(self) -> None:
-        """Pull ``machine._regs`` back into staging (post scalar fallback)."""
-        for (block, t, name), buf in self._machine._regs.items():
-            if block != self._bid:
-                continue
-            arr = self._arrays.get(name)
-            if arr is None:
-                arr = np.zeros((self._nthreads, max(buf.size, 1)),
-                               dtype=buf.dtype)
-                self._arrays[name] = arr
-                self._maxreq[name] = np.zeros(self._nthreads, dtype=np.int64)
-                self._touched[name] = np.zeros(self._nthreads, dtype=bool)
-            elif arr.shape[1] < buf.size:
-                grown = np.zeros((self._nthreads, buf.size), dtype=arr.dtype)
-                grown[:, : arr.shape[1]] = arr
-                self._arrays[name] = grown
-                arr = grown
-            arr[t, : buf.size] = buf
-            self._maxreq[name][t] = max(int(self._maxreq[name][t]), buf.size)
-            self._touched[name][t] = True
 
 
 # -- compiled statement nodes --------------------------------------------------
@@ -335,7 +312,7 @@ class _SpecNode:
 
 # -- per-spec plans ------------------------------------------------------------
 def _lane_groups(spec, nthreads: int) -> List[List[int]]:
-    """Which lane sets execute this spec (mirrors the reference engine)."""
+    """Which lane sets execute this spec (one runner call per set)."""
     group = spec.thread_group()
     if group is None or group.rank == 0:
         return [list(range(nthreads))]
@@ -501,8 +478,8 @@ def _run_reduction(run, sp, gp, env, preds):
     # Per-lane Fortran-order reshape with the lane axis appended last:
     # the spec's axis numbering is unchanged (negative axes resolved
     # against the laneless rank first), and the sequential fold below
-    # applies the op in the reference engine's exact element order per
-    # lane (ufunc reduce would round fp32 sums differently).
+    # applies the op in the generated CUDA's strict sequential element
+    # order per lane (ufunc reduce would round fp32 sums differently).
     grid = vals.astype(np.float32).T.reshape(dims + (nrows,), order="F")
     axes = tuple(a % len(dims) for a in spec.axes)
     rest = [s for i, s in enumerate(grid.shape) if i not in axes]
@@ -534,7 +511,7 @@ def _run_init(run, sp, gp, env, preds):
 
 def _run_shfl(run, sp, gp, env, preds):
     # Warp collectives execute for every lane regardless of predicates,
-    # matching the reference executor.
+    # as in the per-lane reference semantics.
     spec = sp.spec
     rows = run.all_rows(gp)
     vals, read_ent = run.read_bulk(gp.view(spec.inputs[0]), env, rows)
@@ -662,77 +639,64 @@ def _run_tma(run, sp, gp, env, preds):
 
 
 def _run_sparse24(run, sp, gp, env, preds):
-    from ..arch.instructions import sparse24_expand
-
     spec = sp.spec
     comp, meta = spec.inputs
     lead = gp.lead
     rows = run.all_rows(lead)
     comp_vals, comp_ent = run.read_bulk(lead.view(comp), env, rows)
     meta_vals, meta_ent = run.read_bulk(lead.view(meta), env, rows)
-    dense = sparse24_expand(comp, comp_vals[0], meta_vals[0])
+    dense = ptx.sparse24_expand(comp, comp_vals[0], meta_vals[0])
     write_ent = run.write_bulk(lead.view(spec.outputs[0]), env, rows,
                                dense[None, :])
     run.emit(gp, rows, (comp_ent, meta_ent, write_ent))
 
 
-#: Scalar executor -> vectorized runner, built lazily because
-#: :mod:`repro.arch.instructions` itself imports :mod:`repro.sim` (this
-#: package) for :class:`ExecCtx` and is mid-initialization when this
-#: module first loads.
-_VEC_RUNNERS: Optional[dict] = None
-_MMA_SEMANTICS: Optional[dict] = None
+#: Runners for atomics whose instruction names them, by instruction
+#: prefix; the aux class precomputes the instruction's index maps.
+_INSTRUCTION_RUNNERS = (
+    ("mma.sync.", _run_mma, _MmaAux),
+    ("wgmma.", _run_wgmma, _MmaAux),
+    ("ldmatrix.", _run_ldmatrix, _LdmatrixAux),
+    (TMA_G2S, _run_tma, None),
+    (SPARSE24_DECOMPRESS, _run_sparse24, None),
+)
+
+#: Runners for every other atomic, by spec kind.
+_KIND_RUNNERS = {
+    "Move": _run_move,
+    "MatMul": _run_fma,
+    "UnaryPointwise": _run_unary,
+    "BinaryPointwise": _run_binary,
+    "Reduction": _run_reduction,
+    "Init": _run_init,
+    "Shfl": _run_shfl,
+}
 
 
-def _runner_tables():
-    global _VEC_RUNNERS, _MMA_SEMANTICS
-    if _VEC_RUNNERS is None:
-        from ..arch import instructions as X
+def _runner_for(atomic):
+    """``(runner, aux class or None)`` executing ``atomic``.
 
-        _VEC_RUNNERS = {
-            X.exec_thread_move: _run_move,
-            X.exec_thread_matmul: _run_fma,
-            X.exec_thread_unary: _run_unary,
-            X.exec_thread_binary: _run_binary,
-            X.exec_thread_reduction: _run_reduction,
-            X.exec_thread_init: _run_init,
-            X.exec_shfl_bfly: _run_shfl,
-            X.exec_tma_bulk_g2s: _run_tma,
-            X.exec_sparse24_decompress: _run_sparse24,
-        }
-        _MMA_SEMANTICS = {
-            X.exec_mma_16816:
-                "mma.sync.aligned.m16n8k16.row.col.f32.f16.f16.f32",
-            X.exec_mma_884:
-                "mma.sync.aligned.m8n8k4.row.col.f32.f16.f16.f32",
-        }
-    return _VEC_RUNNERS, _MMA_SEMANTICS
+    Raises :class:`SimulationError` when no runner implements it.
+    """
+    instruction = atomic.instruction
+    for prefix, runner, aux in _INSTRUCTION_RUNNERS:
+        if instruction.startswith(prefix):
+            return runner, aux
+    runner = _KIND_RUNNERS.get(atomic.kind)
+    if runner is None:
+        raise SimulationError(
+            f"atomic spec {atomic.name} ({atomic.kind}, {instruction!r}) "
+            f"has no simulator runner"
+        )
+    return runner, None
 
 
 def _select_runner(spec, atomic):
-    """Pick the vectorized runner for an atomic, or None for fallback."""
-    execute = atomic.execute
-    if execute is None:
-        return None, None
-    runners, mma_semantics = _runner_tables()
-    if execute in mma_semantics:
-        return _run_mma, _MmaAux(spec, ptx.semantics_for(
-            mma_semantics[execute]))
-    runner = runners.get(execute)
-    if runner is _run_move and (spec.src.buffer == spec.dst.buffer
-                                and spec.src.mem == spec.dst.mem):
-        # Source and destination may alias across lanes; the scalar
-        # per-lane read/write interleaving is the defined order.
-        return None, None
-    if runner is not None:
-        return runner, None
-    instruction = atomic.instruction or ""
-    if instruction.startswith("wgmma."):
-        return _run_wgmma, _MmaAux(spec, ptx.semantics_for(instruction))
-    if instruction.startswith("ldmatrix.sync.aligned.m8n8"):
-        return _run_ldmatrix, _LdmatrixAux(
-            spec, ptx.semantics_for(instruction))
-    return None, None
+    """Bind ``spec``'s atomic to its runner and precomputed aux data."""
+    runner, aux = _runner_for(atomic)
+    if aux is not None:
+        aux = aux(spec, ptx.semantics_for(atomic.instruction))
+    return runner, aux
 
 
 # -- replay engine -------------------------------------------------------------
@@ -800,11 +764,6 @@ class _Replay:
 
     # -- spec dispatch ---------------------------------------------------------
     def exec_spec(self, sp, env, preds):
-        atomic = sp.atomic
-        if atomic.execute is None:
-            raise SimulationError(
-                f"atomic spec {atomic.name} has no simulator semantics"
-            )
         san, prof = self.san, self.prof
         if san is not None:
             san.enter_spec(sp.label)
@@ -812,25 +771,14 @@ class _Replay:
             trace = self._trace
             if trace is None:
                 for gp in sp.groups:
-                    self._exec_group(sp, gp, env, preds)
+                    sp.runner(self, sp, gp, env, preds)
                 return
             for gp in sp.groups:
                 trace.begin_leaf(sp, gp)
-                self._exec_group(sp, gp, env, preds)
+                sp.runner(self, sp, gp, env, preds)
             return
+        atomic = sp.atomic
         for gp in sp.groups:
-            if sp.runner is None:
-                # Scalar fallback: ExecCtx feeds the observers itself.
-                if prof is not None:
-                    prof.begin_exec(sp.label, atomic.name, atomic.width,
-                                    gp.lanes)
-                    try:
-                        self._exec_group(sp, gp, env, preds)
-                    finally:
-                        prof.end_exec()
-                else:
-                    self._exec_group(sp, gp, env, preds)
-                continue
             pending = self._pending = []
             sp.runner(self, sp, gp, env, preds)
             self._pending = None
@@ -844,24 +792,15 @@ class _Replay:
                 finally:
                     prof.end_exec()
 
-    def _exec_group(self, sp, gp, env, preds):
-        if sp.runner is None:
-            self.regfile.flush()
-            ctx = ExecCtx(self.machine, self.bid, env, gp.lanes, preds)
-            sp.atomic.execute(sp.spec, ctx)
-            self.regfile.reload()
-            return
-        sp.runner(self, sp, gp, env, preds)
-
     # -- bulk element transfer -------------------------------------------------
     def read_bulk(self, vp, env, rows, fill=0, bulk=False):
         """Gather ``rows`` lanes' view elements; returns (values, entry).
 
         The returned emission entry carries the raw offsets/mask for
         the observer feed; buffer growth, zero-substitution of masked
-        offsets and fill values all match the reference
-        ``ExecCtx.read`` exactly, ``bulk`` included (TMA traffic,
-        profiled as bulk).
+        offsets and fill values all match the per-lane reference read
+        (``tests/sim/reference_oracle.py``) exactly, ``bulk`` included
+        (TMA traffic, profiled as bulk).
         """
         offs, mask = vp.offsets_mask(env)
         take_all = rows is self._aranges.get(offs.shape[0])
@@ -896,7 +835,7 @@ class _Replay:
         """Scatter ``values`` to ``rows`` lanes' view elements.
 
         Fully-guarded-out lanes are dropped before any buffer effect
-        (the reference engine's early return); scatter order is
+        (the per-lane reference's early return); scatter order is
         lane-major so last-wins overlaps resolve as the per-lane loop
         would.  Returns the emission entry, or None if nothing wrote.
         """

@@ -4,10 +4,9 @@ The paper validates every optimization with Nsight Compute counters
 (Figures 9-15 report measured global/shared transactions, bank
 conflicts, and mma issue counts).  The simulator substitutes for the
 GPU; this module substitutes for the *profiler*: an opt-in observer that
-sees every element access the sanitizer sees (one lane at a time from
-the reference interpreter, one lanes-by-elements matrix at a time from
-the plan engine) and reconstructs, per executed atomic spec, the
-counters Nsight would report.
+sees every element access the sanitizer sees (one lanes-by-elements
+matrix at a time from the plan engine) and reconstructs, per executed
+atomic spec, the counters Nsight would report.
 
 Counter semantics (documented so calibration tolerances mean something):
 
@@ -38,7 +37,7 @@ Counter semantics (documented so calibration tolerances mean something):
   https://ui.perfetto.dev).
 
 Every execution is charged in one vectorized pass per ``(memory,
-buffer, kind)`` group, whichever engine recorded it.  The bank rule
+buffer, kind)`` group.  The bank rule
 itself is :func:`repro.sim.banks.wavefront_degrees`, shared with the
 static helpers in that module: those analyse one hypothetical access
 pattern; the profiler measures every access the kernel actually
@@ -512,34 +511,14 @@ def _wavefronts(instr, nbytes):
     return int(wave[-1]) + 1, wave
 
 
-def _lane_rows(lane_records):
-    """Per-lane records as row records, one per ``(view, kind, width)``.
-
-    Each row keeps its record's position as its arrival slot.
-    """
-    stacks: Dict[tuple, list] = {}
-    for slot, (tensor, kind, lane, offsets) in enumerate(lane_records):
-        stacks.setdefault((id(tensor), kind, len(offsets)), []).append(
-            (tensor, kind, lane, offsets, slot))
-    records = []
-    for rows in stacks.values():
-        tensors, kinds, lanes, offsets, slots = zip(*rows)
-        records.append((tensors[0], kinds[0], np.array(lanes),
-                        np.array(offsets, dtype=np.int64), None,
-                        np.array(slots)))
-    return records
-
-
 class Profiler:
     """Observes one simulated launch; produces a :class:`KernelProfile`.
 
-    Lifecycle (driven by :class:`~repro.sim.interp.Simulator`):
+    Lifecycle (driven by the plan replay, :mod:`repro.sim.plan`):
     ``begin_block`` per thread-block, then per atomic-spec lane-group
-    execution ``begin_exec`` / records / ``end_exec``; ``barrier`` at
-    sync statements; finally ``finish`` returns the profile.  The
-    reference interpreter records one lane's access at a time
-    (:meth:`record`), the plan engine a lanes-by-elements matrix
-    (:meth:`record_rows`); ``end_exec`` charges both the same way.
+    execution ``begin_exec`` / :meth:`record_rows` calls / ``end_exec``;
+    ``barrier`` at sync statements; finally ``finish`` returns the
+    profile.
     """
 
     def __init__(self, max_events: int = 100_000):
@@ -552,7 +531,6 @@ class Profiler:
         self._clocks: Dict[int, int] = {}
         self._cur: Optional[Tuple[str, str, int, int]] = None
         self._records: List[tuple] = []
-        self._lane_records: List[tuple] = []
 
     # -- lifecycle hooks ----------------------------------------------------
     def begin_block(self, block_id: int) -> None:
@@ -563,18 +541,6 @@ class Profiler:
                    lanes: Sequence[int]) -> None:
         self._cur = (label, instruction, width, len(lanes))
         self._records = []
-        self._lane_records = []
-
-    def record(self, tensor, lane: int, offsets: Sequence[int],
-               kind: str) -> None:
-        """One lane's element accesses (physical offsets, post-mask).
-
-        Charged as one row of a :meth:`record_rows` matrix, arriving
-        after every earlier ``record`` of the execution.  An execution
-        records either this way or through :meth:`record_rows`.
-        """
-        if self._cur is not None and len(offsets):
-            self._lane_records.append((tensor, kind, lane, offsets))
 
     def record_rows(self, tensor, kind: str, lanes: np.ndarray,
                     offsets: np.ndarray, mask: Optional[np.ndarray],
@@ -595,9 +561,8 @@ class Profiler:
         self._advance(f"barrier.{scope}", 1)
 
     def end_exec(self) -> None:
-        cur = self._cur
-        records = self._records or _lane_rows(self._lane_records)
-        self._cur, self._records, self._lane_records = None, [], []
+        cur, records = self._cur, self._records
+        self._cur, self._records = None, []
         if cur is None:
             return
         label, instruction, width, slots = cur

@@ -1,6 +1,6 @@
 """Shared-memory race and memory sanitizer for the functional simulator.
 
-The interpreter executes kernels in statement-lockstep: every statement
+The simulator executes kernels in statement-lockstep: every statement
 completes for all threads before the next begins, a semantics at least
 as strong as barrier-correct hardware execution.  That strength hides a
 whole bug class — a decomposition with a *missing or misplaced*
@@ -249,12 +249,11 @@ class _Shadow:
 class Sanitizer:
     """Per-launch access tracker; attach via ``Simulator.run(sanitize=)``.
 
-    The interpreter drives it: :meth:`declare` for every ``Allocate``
+    The plan replay drives it: :meth:`declare` for every ``Allocate``
     and kernel parameter, :meth:`begin_block` per thread-block,
     :meth:`barrier` at sync statements, :meth:`enter_spec` before each
     atomic executes, and :meth:`record` once per emitted item — every
-    access of one spec execution (the plan engine) or of one lane's
-    element transfer (:class:`~repro.sim.context.ExecCtx`).
+    access of one spec execution.
     """
 
     def __init__(self, warp_size: int = WARP_SIZE, max_reports: int = 64):
@@ -285,7 +284,7 @@ class Sanitizer:
         self._block_epoch_base = 0
         self._spec = "<launch>"
 
-    # -- interpreter lifecycle hooks --------------------------------------------
+    # -- replay lifecycle hooks -------------------------------------------------
     def declare(self, buffer: str, mem: MemSpace, size: int) -> None:
         """Register a buffer's memory space and legal element count."""
         self._sizes[buffer] = size

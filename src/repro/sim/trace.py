@@ -27,9 +27,8 @@ consumed in the same order, and growth-by-zero-fill semantics make the
 pre-sized trace storage indistinguishable from lazily grown buffers.
 
 Limits: traces carry no observer stream, so sanitized/profiled replays
-must use the exact plan path; plans containing scalar-fallback leaves
-(no vectorized runner) are not traceable and :func:`record_trace`
-returns None.
+must use the exact plan path; a plan that reads with a non-zero guard
+fill is not traceable and :func:`record_trace` returns None.
 """
 
 from __future__ import annotations
@@ -161,10 +160,6 @@ class _TraceRecorder:
         self._ops: Optional[List[object]] = None
 
     def begin_leaf(self, sp, gp) -> None:
-        if sp.runner is None:
-            raise _Untraceable(
-                f"{sp.label} executes through the scalar fallback"
-            )
         leaf = _Leaf(sp, gp)
         self.leaves.append(leaf)
         self._ops = leaf.ops

@@ -107,14 +107,15 @@ def _is_contiguous(tensor: Tensor) -> bool:
 class AtomicSpec:
     """One entry of the atomic-spec table (paper Table 2).
 
-    ``execute`` implements the instruction's semantics for the functional
-    simulator; ``emit`` renders CUDA C++ / inline PTX; ``cost`` reports
-    the event used by the analytical performance model.
+    The functional simulator executes an entry by its ``kind`` and
+    ``instruction`` (:mod:`repro.sim.plan`); ``emit`` renders CUDA C++ /
+    inline PTX; ``cost`` reports the event used by the analytical
+    performance model.
     """
 
     __slots__ = (
         "name", "kind", "instruction", "width", "in_patterns",
-        "out_patterns", "predicate", "execute", "emit", "cost",
+        "out_patterns", "predicate", "emit", "cost",
     )
 
     def __init__(
@@ -126,7 +127,6 @@ class AtomicSpec:
         in_patterns: Sequence[OperandPattern],
         out_patterns: Sequence[OperandPattern],
         predicate: Optional[Callable[[Spec], bool]] = None,
-        execute: Optional[Callable] = None,
         emit: Optional[Callable] = None,
         cost: Optional[Callable] = None,
     ):
@@ -137,7 +137,6 @@ class AtomicSpec:
         object.__setattr__(self, "in_patterns", tuple(in_patterns))
         object.__setattr__(self, "out_patterns", tuple(out_patterns))
         object.__setattr__(self, "predicate", predicate)
-        object.__setattr__(self, "execute", execute)
         object.__setattr__(self, "emit", emit)
         object.__setattr__(self, "cost", cost)
 

@@ -34,7 +34,6 @@ from typing import Dict, List, Optional, Sequence, TypeVar
 import multiprocessing
 
 from ..arch.gpu import Architecture
-from ..sim import RunOptions
 from .search import EvalOutcome, Oracle, perfmodel_oracle, serial_evaluator
 from .space import Candidate, ConfigSpace
 from .verify import GateResult, check_candidate
@@ -80,10 +79,9 @@ def _check_shard(
     arch: Architecture,
     shape: Dict[str, int],
     seed: int,
-    options: Optional[RunOptions],
 ) -> List[GateResult]:
     """Worker entry point: run the correctness gate on a shard."""
-    return [check_candidate(space, arch, c, shape, seed, options=options)
+    return [check_candidate(space, arch, c, shape, seed)
             for c in candidates]
 
 
@@ -156,11 +154,10 @@ class FleetEvaluator:
         candidates: Sequence[Candidate],
         shape: Dict[str, int],
         seed: int = 0,
-        options: Optional[RunOptions] = None,
     ) -> List[GateResult]:
         """Gate a candidate batch concurrently, results in input order."""
         return self._map_shards(_check_shard, candidates, space, arch, shape,
-                                seed, options)
+                                seed)
 
 
 __all__ = ["FleetEvaluator", "default_workers", "shard_sequence"]

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..arch.gpu import Architecture
-from ..sim import RunOptions, SanitizerError, SimulationError, Simulator
+from ..sim import SanitizerError, SimulationError, Simulator
 from .search import RankedCandidate
 from .space import Candidate, ConfigSpace
 
@@ -54,21 +54,15 @@ def check_candidate(
     shape: Dict[str, int],
     seed: int = 0,
     profile: bool = False,
-    options: Optional[RunOptions] = None,
 ) -> GateResult:
     """Execute one candidate at its small verification shape.
 
     ``profile=True`` attaches the run's measured counters
     (:class:`repro.sim.KernelProfile`) to the returned
     :class:`GateResult`, so tuner reports can show measured bank
-    conflicts next to the oracle's modelled ones.  ``options`` carries
-    the remaining run settings (engine, seed of the run itself); the
-    gate always forces ``sanitize=True`` on top of it — an unsanitized
-    gate would defeat its purpose.
+    conflicts next to the oracle's modelled ones.  The run is always
+    sanitized: an unsanitized gate would defeat its purpose.
     """
-    if options is None:
-        options = RunOptions()
-    options = options.merged(sanitize=True, profile=profile)
     kernel_profile = None
     try:
         vshape = space.verification_shape(candidate, shape)
@@ -76,7 +70,7 @@ def check_candidate(
         bindings, checks = space.verification_problem(candidate, vshape, seed)
         symbols = space.verification_symbols(candidate, vshape)
         result = Simulator(arch).run(kernel, bindings, symbols,
-                                     options=options)
+                                     sanitize=True, profile=profile)
         kernel_profile = result.profile
     except SanitizerError as exc:
         return GateResult(candidate, False, None,
@@ -113,7 +107,6 @@ def run_gate(
     shape: Dict[str, int],
     top_k: int = 3,
     seed: int = 0,
-    options: Optional[RunOptions] = None,
     evaluator: Optional["FleetEvaluator"] = None,
 ) -> Tuple[RankedCandidate, List[GateResult]]:
     """Verify the leaderboard's top-k; return the best passing config.
@@ -134,10 +127,10 @@ def run_gate(
         candidates = [rc.candidate for rc in batch]
         if width > 1:
             return evaluator.check_batch(space, arch, candidates, shape,
-                                         seed, options)
+                                         seed)
         # Looked up in this module per call: tracing counts gate calls
         # by patching ``repro.tuner.verify.check_candidate``.
-        return [check_candidate(space, arch, c, shape, seed, options=options)
+        return [check_candidate(space, arch, c, shape, seed)
                 for c in candidates]
 
     results = check(ranked[:top_k])

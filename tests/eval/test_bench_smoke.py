@@ -12,15 +12,14 @@ import pytest
 
 from repro.eval.bench_smoke import (
     _large_view_probes, run_bench_smoke, run_family,
-    run_plan_compile_bench, run_sim_speed_bench, smoke_families,
-    time_engines,
+    run_plan_compile_bench, smoke_families,
 )
 from tests.eval import assert_header
 
 
 def test_single_family_artifact(tmp_path):
     paths = run_bench_smoke(["fig13"], outdir=str(tmp_path),
-                            sim_speed=False, plan_compile=False)
+                            plan_compile=False)
     assert [p.endswith("BENCH_fig13.json") for p in paths] == [True]
     artifact = json.loads(open(paths[0]).read())
     assert artifact["passed"] is True
@@ -40,31 +39,6 @@ def test_families_cover_every_figure_bench():
     assert set(smoke_families()) == {
         "fig09", "fig10", "fig11", "fig12", "fig13", "fig14"
     }
-
-
-def test_vectorized_not_slower_than_reference():
-    """The plan engine must never lose to the scalar interpreter.
-
-    Two smoke shapes keep this tier-1 fast; the margin on both is wide
-    (cold >3x, warm >10x in steady state), so a strict comparison is
-    safe against timer noise.
-    """
-    for figure in ("fig09", "fig13"):
-        row = time_engines(figure, repeats=2)
-        assert row["vectorized_warm_s"] < row["reference_s"], row
-        assert row["vectorized_cold_s"] < row["reference_s"], row
-
-
-def test_sim_speed_artifact(tmp_path):
-    path = run_sim_speed_bench(["fig13"], outdir=str(tmp_path), repeats=2)
-    assert path.endswith("BENCH_sim_speed.json")
-    artifact = json.loads(open(path).read())
-    assert artifact["engines"] == ["reference", "vectorized"]
-    (row,) = artifact["figures"]
-    assert row["figure"] == "fig13"
-    assert row["reference_s"] > 0 and row["vectorized_warm_s"] > 0
-    assert artifact["summary"]["min_speedup_warm"] == row["speedup_warm"]
-    assert_header(artifact, repeats=2)
 
 
 def test_plan_compile_artifact(tmp_path):
@@ -94,8 +68,8 @@ def test_linear_index_compile_not_slower_on_large_views():
 @pytest.mark.slow
 def test_full_smoke_sweep(tmp_path):
     paths = run_bench_smoke(outdir=str(tmp_path))
-    # One artifact per family plus sim-speed, plan-compile and fig15.
-    assert len(paths) == len(smoke_families()) + 3
+    # One artifact per family plus plan-compile and fig15.
+    assert len(paths) == len(smoke_families()) + 2
     for path in paths:
         artifact = json.loads(open(path).read())
         assert artifact.get("passed", True) is True, path

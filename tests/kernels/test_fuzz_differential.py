@@ -207,8 +207,7 @@ def _observe(case, mode):
     with index_compiler(mode):
         run = Simulator(case.arch).run(
             case.kernel, arrays, symbols=case.symbols,
-            options=RunOptions(engine="vectorized", sanitize="report",
-                               profile=True))
+            options=RunOptions(sanitize="report", profile=True))
     return arrays, run
 
 

@@ -100,7 +100,7 @@ class TestFingerprintDedupe:
         for kern in (build_copy(FLAT), build_copy(NESTED)):
             b = _bindings()
             run = Simulator(AMPERE).run(kern, b, options=RunOptions(
-                engine="vectorized", profile=True, sanitize="report"))
+                profile=True, sanitize="report"))
             counters = {}
             for spec in run.profile.specs.values():
                 for field in (
@@ -126,21 +126,17 @@ class TestPlanCacheDedupe:
             plan_cache_key(k_nested, AMPERE, {}, b)
         sim = Simulator(AMPERE)
         cache = sim.plan_cache
-        sim.run(k_flat, _bindings(),
-                options=RunOptions(engine="vectorized"))
+        sim.run(k_flat, _bindings())
         assert cache.stats.misses == 1
-        sim.run(k_nested, _bindings(),
-                options=RunOptions(engine="vectorized"))
+        sim.run(k_nested, _bindings())
         assert cache.stats.hits >= 1
         assert len(cache._entries) == 1
 
     def test_permuted_spelling_recompiles(self):
         sim = Simulator(AMPERE)
         cache = sim.plan_cache
-        sim.run(build_copy(FLAT), _bindings(),
-                options=RunOptions(engine="vectorized"))
-        sim.run(build_copy(PERMUTED), _bindings(),
-                options=RunOptions(engine="vectorized"))
+        sim.run(build_copy(FLAT), _bindings())
+        sim.run(build_copy(PERMUTED), _bindings())
         assert cache.stats.hits == 0
         assert cache.stats.misses == 2
         assert len(cache._entries) == 2

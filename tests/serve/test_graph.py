@@ -12,9 +12,11 @@ import pytest
 
 from repro.conformance.harness import default_cases
 from repro.serve import CapturedGraph, GraphKey, graph_key
-from repro.sim import RunOptions, Simulator
+from repro.sim import RunOptions
 from repro.sim.errors import SimulationError
 from repro.sim.sanitizer import verdict
+
+from ..sim.reference_oracle import ReferenceSimulator
 
 pytestmark = pytest.mark.serve
 
@@ -48,9 +50,8 @@ def test_replay_bit_identical_to_simulator(name):
                                   _copies(case.arrays))
     # Every shipped family, Hopper's wgmma/TMA/2:4 included, is traced.
     assert graph.trace is not None
-    ref = Simulator(case.arch).run(
-        case.kernel, _copies(case.arrays), symbols=case.symbols,
-        options=RunOptions(engine="vectorized"))
+    ref = ReferenceSimulator(case.arch).run(
+        case.kernel, _copies(case.arrays), symbols=case.symbols)
     graph.replay(_copies(case.arrays))
     outs = graph.outputs()
     for out in graph.output_params:
@@ -66,10 +67,9 @@ def test_observer_replay_matches_simulator(name):
                                   _copies(case.arrays))
     run = graph.replay(_copies(case.arrays), sanitize="report",
                        profile=True)
-    ref = Simulator(case.arch).run(
+    ref = ReferenceSimulator(case.arch).run(
         case.kernel, _copies(case.arrays), symbols=case.symbols,
-        options=RunOptions(engine="vectorized", sanitize="report",
-                           profile=True))
+        options=RunOptions(sanitize="report", profile=True))
     assert verdict(run.sanitizer) == verdict(ref.sanitizer)
     assert _profile_signature(run.profile) == _profile_signature(ref.profile)
 
@@ -120,14 +120,6 @@ def test_graph_key_is_stable_and_picklable():
     assert key == again
     assert hash(key) == hash(again)
     assert pickle.loads(pickle.dumps(key)) == key
-
-
-def test_capture_rejects_reference_engine():
-    case = _case("gemm_naive")
-    with pytest.raises(SimulationError, match="vectorized"):
-        CapturedGraph.capture(case.kernel, case.arch, case.symbols,
-                              _copies(case.arrays),
-                              options=RunOptions(engine="reference"))
 
 
 def test_traced_and_exact_paths_agree():

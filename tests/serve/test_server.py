@@ -33,8 +33,7 @@ def test_concurrent_submissions_from_many_threads(catalog):
     for problem in problems:
         ref = sim.run(fam.kernel,
                       {k: v.copy() for k, v in problem.items()},
-                      symbols=fam.symbols,
-                      options=RunOptions(engine="vectorized"))
+                      symbols=fam.symbols)
         expected.append({out: ref.machine.global_array(out).copy()
                          for out in fam.outputs})
     with KernelServer([fam], max_workers=4) as server:

@@ -12,7 +12,7 @@ from repro.arch import architecture
 from repro.kernels.config import NaiveGemmConfig
 from repro.kernels.gemm import build
 from repro.serve import CapturedGraph, GraphCache, KernelServer, graph_key
-from repro.sim import RunOptions, Simulator
+from repro.sim import Simulator
 
 pytestmark = pytest.mark.serve
 
@@ -39,8 +39,8 @@ def test_capture_and_replay_matches_simulator():
     graph = CapturedGraph.capture(kernel, ARCH, {}, bindings)
     assert graph.trace is not None  # fma-only kernels trace fully
     graph.replay(bindings)
-    ref = Simulator(ARCH).run(kernel, {k: v.copy() for k, v in bindings.items()},
-                              options=RunOptions(engine="vectorized"))
+    ref = Simulator(ARCH).run(kernel,
+                              {k: v.copy() for k, v in bindings.items()})
     np.testing.assert_array_equal(
         graph.outputs()["C"].reshape(-1), ref.machine.global_array("C"))
 

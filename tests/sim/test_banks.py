@@ -116,7 +116,9 @@ def test_profiler_wavefront_matches_access_degree(wave):
     prof.begin_block(0)
     prof.begin_exec("st", "ld.shared", 1, range(len(runs)))
     for lane, (start, count) in enumerate(runs):
-        prof.record(smem, lane, list(range(start, start + count)), kind)
+        prof.record_rows(smem, kind, np.array([lane]),
+                         np.arange(start, start + count)[None, :], None,
+                         np.array([lane]))
     prof.end_exec()
     counters = prof.finish("k", 1, WARP_SIZE).specs["st"]
     side = "load" if kind == "read" else "store"

@@ -46,7 +46,7 @@ def test_same_kernel_traffic_shares_one_plan():
 
     def launch(problem):
         bindings = {k: v.copy() for k, v in problem.items()}
-        sim.run(kernel, bindings, options=RunOptions(engine="vectorized"))
+        sim.run(kernel, bindings)
         return bindings["C"]
 
     with ThreadPoolExecutor(max_workers=8) as pool:
@@ -73,8 +73,7 @@ def test_mixed_kernel_traffic_is_race_free():
     def launch(job):
         m, problem = job
         bindings = {k: v.copy() for k, v in problem.items()}
-        sim.run(kernels[m], bindings,
-                options=RunOptions(engine="vectorized"))
+        sim.run(kernels[m], bindings)
         return bindings["C"]
 
     with ThreadPoolExecutor(max_workers=8) as pool:
@@ -96,13 +95,11 @@ def test_concurrent_profiled_runs_match_a_solo_run(profile):
     rng = np.random.default_rng(2)
     problem = _problem(rng)
     solo = sim.run(kernel, {k: v.copy() for k, v in problem.items()},
-                   options=RunOptions(engine="vectorized",
-                                      profile=True)).profile
+                   options=RunOptions(profile=True)).profile
 
     def launch(_):
         run = sim.run(kernel, {k: v.copy() for k, v in problem.items()},
-                      options=RunOptions(engine="vectorized",
-                                         profile=profile))
+                      options=RunOptions(profile=profile))
         return run.profile
 
     with ThreadPoolExecutor(max_workers=8) as pool:
@@ -122,7 +119,7 @@ def test_concurrent_sanitized_runs_match_a_solo_run(mutant):
     (case,) = [c for c in default_cases() if c.name == "gemm_ampere"]
     kernel = strip_barriers(case.kernel) if mutant else case.kernel
     sim = Simulator(case.arch)
-    options = RunOptions(engine="vectorized", sanitize="report")
+    options = RunOptions(sanitize="report")
 
     def launch(_=None):
         run = sim.run(kernel, {k: np.array(v, copy=True)

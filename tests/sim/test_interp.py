@@ -1,4 +1,4 @@
-"""Interpreter tests: statements, predication, collectives, errors."""
+"""Simulator tests: statements, predication, collectives, errors."""
 
 import numpy as np
 import pytest
@@ -8,6 +8,8 @@ from repro.frontend.builder import KernelBuilder
 from repro.ir.expr import Const, Var
 from repro.sim import SimulationError, Simulator
 from repro.tensor import FP16, FP32, RF
+
+from .reference_oracle import ReferenceSimulator
 
 
 def run(kernel, **arrays):
@@ -55,8 +57,8 @@ class TestBasics:
         with pytest.raises(SimulationError, match="missing binding"):
             Simulator(AMPERE).run(kb.build(), {})
 
-    @pytest.mark.parametrize("engine, bad, match", [
-        pytest.param(engine, bad, match, id=engine + suffix)
+    @pytest.mark.parametrize("simulator, bad, match", [
+        pytest.param(simulator, bad, match, id=engine + suffix)
         for suffix, bad, match in [
             ("", {"x": np.zeros(5, np.float32)},
              r"'x' has 5 elements; its layout needs 8"),
@@ -65,9 +67,10 @@ class TestBasics:
             ("-unknown", {"z": np.zeros(8, np.float32)},
              r"bindings \['z'\] name no parameter of 'copy'"),
         ]
-        for engine in ("vectorized", "reference")
+        for engine, simulator in (("vectorized", Simulator),
+                                  ("reference", ReferenceSimulator))
     ])
-    def test_short_binding_raises(self, engine, bad, match):
+    def test_short_binding_raises(self, simulator, bad, match):
         kb = KernelBuilder("copy", (1,), (8,))
         x = kb.param("x", (8,), FP32)
         y = kb.param("y", (8,), FP32)
@@ -76,8 +79,7 @@ class TestBasics:
         bindings = {"x": np.zeros(8, np.float32),
                     "y": np.zeros(8, np.float32), **bad}
         with pytest.raises(SimulationError, match=match):
-            Simulator(AMPERE).run(kb.build(), bindings, sanitize=True,
-                                  engine=engine)
+            simulator(AMPERE).run(kb.build(), bindings, sanitize=True)
 
     def test_short_binding_checked_under_launch_symbols(self):
         kb = KernelBuilder("k", (1,), (1,))

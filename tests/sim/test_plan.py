@@ -1,13 +1,13 @@
-"""Compiled launch plans: cache semantics and engine bit-exactness.
+"""Compiled launch plans: cache semantics and oracle bit-exactness.
 
-The vectorized engine (:mod:`repro.sim.plan`) must be indistinguishable
-from the scalar reference interpreter — not just in output arrays but in
-every observable: final machine state, profiler counters (bank
-conflicts included) and event timeline, and sanitizer reports.  These
-tests pin that equivalence over the conformance case library, a small
-fuzz corpus, and barrier-stripped racy mutants, and pin the plan
-cache's keying rules (kernel identity + symbol bindings + binding
-shapes).
+The plan engine (:mod:`repro.sim.plan`) must be indistinguishable from
+the per-lane reference interpreter (:mod:`tests.sim.reference_oracle`)
+— not just in output arrays but in every observable: final machine
+state, profiler counters (bank conflicts included) and event timeline,
+and sanitizer reports.  These tests pin that equivalence over the
+conformance case library, a small fuzz corpus, barrier-stripped racy
+mutants and aliasing moves, and pin the plan cache's keying rules
+(kernel identity + symbol bindings + binding shapes).
 """
 
 import pickle
@@ -16,7 +16,10 @@ import numpy as np
 import pytest
 
 from repro.conformance.harness import Case, default_cases
-from repro.arch import HOPPER
+from repro.arch import AMPERE, HOPPER
+from repro.arch.gpu import Architecture
+from repro.frontend.builder import KernelBuilder
+from repro.ir.expr import Var
 from repro.kernels import (
     HopperFp8GemmConfig, LayernormConfig, NaiveGemmConfig, SoftmaxConfig,
     Sparse24GemmConfig, build,
@@ -24,12 +27,16 @@ from repro.kernels import (
 from repro.kernels.hopper import random_sparse24
 from repro.library import funcs
 from repro.sim import (
-    LaunchPlan, PlanCache, RunOptions, Simulator, kernel_fingerprint,
-    plan_cache_key, strip_barriers,
+    LaunchPlan, PlanCache, RunOptions, SimulationError, Simulator,
+    kernel_fingerprint, plan_cache_key, strip_barriers,
 )
 from repro.sim.profiler import SpecCounters
 from repro.sim.sanitizer import verdict
+from repro.specs.atomic import AtomicSpec, OperandPattern as Op
+from repro.tensor import FP16, FP32, INT32, RF, SH
 from repro.tensor.dtypes import FP8E4M3
+
+from .reference_oracle import ReferenceSimulator
 
 CASES = {c.name: c for c in default_cases()}
 
@@ -55,11 +62,11 @@ def _machine_sig(machine):
             table(machine._regs))
 
 
-def _run_engine(case: Case, engine: str, sanitize="report"):
+def _run_engine(case: Case, simulator, sanitize="report"):
     arrays = {k: v.copy() for k, v in case.arrays.items()}
-    result = Simulator(case.arch).run(
+    result = simulator(case.arch).run(
         case.kernel, arrays, symbols=case.symbols,
-        options=RunOptions(sanitize=sanitize, profile=True, engine=engine),
+        options=RunOptions(sanitize=sanitize, profile=True),
     )
     return (
         {k: v.tobytes() for k, v in arrays.items()},
@@ -70,8 +77,8 @@ def _run_engine(case: Case, engine: str, sanitize="report"):
 
 
 def _assert_engines_match(case: Case, sanitize="report"):
-    ref = _run_engine(case, "reference", sanitize)
-    vec = _run_engine(case, "vectorized", sanitize)
+    ref = _run_engine(case, ReferenceSimulator, sanitize)
+    vec = _run_engine(case, Simulator, sanitize)
     assert ref[0] == vec[0], f"{case.name}: output arrays differ"
     assert ref[1] == vec[1], f"{case.name}: machine state differs"
     assert ref[2] == vec[2], f"{case.name}: profiler output differs"
@@ -80,7 +87,8 @@ def _assert_engines_match(case: Case, sanitize="report"):
 
 # -- conformance sweep --------------------------------------------------------------
 class TestEngineBitExact:
-    """Both engines agree on every observable, for every shipped family."""
+    """The plan engine agrees with the oracle on every observable, for
+    every shipped family."""
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_conformance_case(self, name):
@@ -88,11 +96,11 @@ class TestEngineBitExact:
 
 
 class TestRacyMutants:
-    """Sanitizer findings are identical across engines on broken kernels.
+    """Sanitizer findings match the oracle's on broken kernels.
 
     Stripping barriers manufactures genuine shared-memory races; the
-    vectorized engine must report the *same* hazards (same kind, buffer,
-    element, thread pair, epoch, spec) the scalar interpreter does.
+    plan engine must report the *same* hazards (same kind, buffer,
+    element, thread pair, epoch, spec) the per-lane oracle does.
     """
 
     @pytest.mark.parametrize("name", ["gemm_ampere", "layernorm", "mlp"])
@@ -104,8 +112,8 @@ class TestRacyMutants:
 
 class TestHopperGrid:
     """Two blocks read the same A tile through TMA: the sanitizer must
-    see those bulk copies as plain reads in both engines (a read booked
-    as a write would race across blocks)."""
+    see those bulk copies as plain reads, as the oracle does (a read
+    booked as a write would race across blocks)."""
 
     def _case(self, family, rng):
         m, n, k = 64, 128, 64
@@ -167,12 +175,112 @@ def _fuzz_cases(count=4, seed=2024):
 
 
 class TestFuzzCrossCheck:
-    """Randomized shapes: engines stay bit-exact on every observable."""
+    """Randomized shapes: the plan engine stays bit-exact with the oracle
+    on every observable."""
 
     @pytest.mark.parametrize("case", _fuzz_cases(),
                              ids=lambda c: c.name)
     def test_fuzz_case(self, case):
         _assert_engines_match(case)
+
+
+# -- aliasing moves -----------------------------------------------------------------
+N_ALIAS = 32
+
+
+def _alias_case(name, build, arrays):
+    kb = KernelBuilder(name, (1,), (N_ALIAS,))
+    build(kb, Var("threadIdx.x"))
+    return Case(name=name, family="alias", kernel=kb.build(), arrays=arrays,
+                outputs=[], reference={}, tol=0.0, arch=AMPERE)
+
+
+def _shared_shift(kb, t, shift):
+    """x -> s[t]; lane t then moves s[t] to s[t + shift] in one spec."""
+    x = kb.param("x", (N_ALIAS,), FP32)
+    y = kb.param("y", (N_ALIAS,), FP32)
+    s = kb.alloc("s", (2 * N_ALIAS,), FP32, SH)
+    kb.move(x.tile((1,))[t], s.tile((1,))[t])
+    kb.sync()
+    kb.move(s.tile((1,))[t], s.tile((1,))[t + shift])
+    kb.sync()
+    kb.move(s.tile((1,))[t + shift], y.tile((1,))[t])
+
+
+def _alias_arrays():
+    return {"x": np.arange(N_ALIAS, dtype=np.float32) + 1.0,
+            "y": np.zeros(N_ALIAS, np.float32)}
+
+
+class TestAliasingMove:
+    """A Move whose source and destination share a buffer runs the
+    ordinary gather-then-scatter runner, which is the per-lane order
+    whenever no lane reads an element another lane of the spec writes."""
+
+    def test_disjoint_shared_move_matches_oracle(self):
+        case = _alias_case(
+            "alias_sh", lambda kb, t: _shared_shift(kb, t, N_ALIAS),
+            _alias_arrays())
+        _assert_engines_match(case)
+        arrays = _alias_arrays()
+        Simulator(AMPERE).run(case.kernel, arrays, sanitize=True)
+        np.testing.assert_array_equal(arrays["y"], arrays["x"])
+
+    def test_in_place_register_move_matches_oracle(self):
+        def build(kb, t):
+            x = kb.param("x", (N_ALIAS,), FP32)
+            y = kb.param("y", (N_ALIAS, 4), FP32)
+            r = kb.alloc("r", (4,), FP32, RF)
+            kb.init(r, 0.0)
+            kb.move(x.tile((1,))[t], r.tile((1,))[0])
+            kb.move(r.tile((2,))[0], r.tile((2,))[1])
+            kb.move(r, r)
+            kb.move(r, y.tile((1, 4))[t, 0])
+
+        case = _alias_case("alias_rf", build, {
+            "x": np.arange(N_ALIAS, dtype=np.float32) + 1.0,
+            "y": np.zeros((N_ALIAS, 4), np.float32)})
+        _assert_engines_match(case)
+
+    def test_overlapping_shared_move_races_identically(self):
+        """Lane t writes the element lane t + 1 reads: the values depend
+        on lane order, so only the sanitizer verdicts must agree."""
+        case = _alias_case(
+            "alias_racy", lambda kb, t: _shared_shift(kb, t, 1),
+            _alias_arrays())
+        ref = _run_engine(case, ReferenceSimulator)
+        vec = _run_engine(case, Simulator)
+        assert vec[3] == ref[3]
+        assert not Simulator(AMPERE).run(
+            case.kernel, _alias_arrays(), sanitize="report"
+        ).sanitizer.clean()
+
+
+class TestRunnerSelection:
+    def test_atomic_without_runner_fails_at_plan_compile(self):
+        """An atomic no runner implements is a SimulationError before any
+        block executes: the launch leaves its output untouched."""
+        unknown = AtomicSpec(
+            "sparse24.custom", "Spec", "sparse24.custom [smem expand]", 128,
+            [Op(mem=SH, dtype=FP16), Op(mem=SH, dtype=INT32)],
+            [Op(mem=SH, dtype=FP16)],
+            predicate=lambda spec: spec.label.startswith("sparse24"),
+        )
+        arch = Architecture(
+            "H100 without sparse24 runner", 90,
+            [unknown if a.name == "sparse24.decompress" else a
+             for a in HOPPER.atomics],
+            num_sms=1, tensor_fp16_tflops=1.0, fp32_tflops=1.0,
+            fp16_tflops=1.0, dram_gbps=1.0, smem_bytes_per_sm=1 << 20,
+            smem_gbps=1.0,
+        )
+        case = CASES["gemm_sparse24_hopper"]
+        with pytest.raises(SimulationError, match="has no simulator runner"):
+            LaunchPlan(case.kernel, arch)
+        arrays = {k: v.copy() for k, v in case.arrays.items()}
+        with pytest.raises(SimulationError, match="sparse24.custom"):
+            Simulator(arch).run(case.kernel, arrays)
+        np.testing.assert_array_equal(arrays["C"], case.arrays["C"])
 
 
 # -- plan-cache semantics -----------------------------------------------------------
@@ -238,14 +346,6 @@ class TestPlanCache:
         sim.run(kernel_a, {k: v.copy() for k, v in arrays.items()})
         sim.run(kernel_b, {k: v.copy() for k, v in arrays.items()})
         assert sim.plan_cache.misses == 2
-        assert sim.plan_cache.hits == 0
-
-    def test_reference_engine_bypasses_cache(self):
-        case = CASES["gemm_naive"]
-        sim = Simulator(case.arch)
-        arrays = {k: v.copy() for k, v in case.arrays.items()}
-        sim.run(case.kernel, arrays, options=RunOptions(engine="reference"))
-        assert sim.plan_cache.misses == 0
         assert sim.plan_cache.hits == 0
 
     def test_lru_eviction(self):

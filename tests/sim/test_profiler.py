@@ -18,6 +18,8 @@ from repro.kernels import (
 )
 from repro.sim import KernelProfile, RunResult, Simulator
 
+from .reference_oracle import ReferenceSimulator
+
 
 def _bindings(kernel, seed=0):
     rng = np.random.default_rng(seed)
@@ -151,12 +153,12 @@ class TestChromeTrace:
 
 
 class TestCacheScoping:
-    """Regression: the simulator's id()-keyed statement caches must be
-    scoped per run — a recycled id() from a freed kernel previously
-    poisoned later runs."""
+    """Regression: the reference interpreter's id()-keyed statement
+    caches must be scoped per run — a recycled id() from a freed kernel
+    previously poisoned later runs."""
 
     def test_poisoned_cache_is_cleared_by_run(self):
-        sim = Simulator(AMPERE)
+        sim = ReferenceSimulator(AMPERE)
         kernel = build(NaiveGemmConfig(32, 32, 32, (2, 2), (4, 4)))
         bindings = _bindings(kernel)
         ref = _naive_gemm_ref(bindings)

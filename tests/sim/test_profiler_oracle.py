@@ -5,10 +5,12 @@ kind)`` group of an execution in one numpy pass.  It must give the same
 counters, the same timeline, and the same per-execution active-lane and
 transaction counts as the per-lane walk it replaced (kept in
 :mod:`tests.sim.profiler_oracle`).  Two sources feed both classes one
-record stream: random streams from hypothesis, in the interpreter's
-one-lane form and the plan engine's row-matrix form, and real launches
-teed through ``Simulator.run`` and graph replay over the conformance
-library, the fuzz corpus and the serve catalog.
+record stream: random streams from hypothesis, in the per-lane form
+(which the shipped profiler receives stacked by
+:func:`tests.sim.reference_oracle.record_lanes`) and the plan engine's
+row-matrix form, and real launches teed through ``Simulator.run``, the
+per-lane :mod:`tests.sim.reference_oracle` and graph replay over the
+conformance library, the fuzz corpus and the serve catalog.
 """
 
 import numpy as np
@@ -26,7 +28,9 @@ from repro.sim import interp
 from repro.sim.profiler import Profiler
 from repro.tensor import GL, RF, SH
 
+from . import reference_oracle
 from .profiler_oracle import Profiler as OracleProfiler
+from .reference_oracle import ReferenceSimulator, record_lanes
 from .test_plan import _fuzz_cases
 
 
@@ -51,6 +55,7 @@ class Tee:
         self.shipped = _Shipped(**kwargs)
         self.oracle = OracleProfiler(**kwargs)
         self.profiles = None
+        self._lane_records = []
 
     def begin_block(self, block_id):
         self.shipped.begin_block(block_id)
@@ -61,7 +66,10 @@ class Tee:
         self.oracle.begin_exec(label, instruction, width, lanes)
 
     def record(self, tensor, lane, offsets, kind):
-        self.shipped.record(tensor, lane, offsets, kind)
+        """One lane's accesses: the oracle walks it as is, the shipped
+        profiler gets the execution's lanes stacked at ``end_exec``."""
+        if len(offsets):
+            self._lane_records.append((tensor, kind, lane, offsets))
         self.oracle.record(tensor, lane, offsets, kind)
 
     def record_rows(self, tensor, kind, lanes, offsets, mask, order):
@@ -73,6 +81,8 @@ class Tee:
         self.oracle.barrier(scope)
 
     def end_exec(self):
+        record_lanes(self.shipped, self._lane_records)
+        self._lane_records = []
         self.shipped.end_exec()
         self.oracle.end_exec()
 
@@ -274,25 +284,28 @@ def test_entries_of_one_item_interleave_per_lane():
 
 
 # -- real launches --------------------------------------------------------------------
-def _teed(monkeypatch, module):
-    """Make ``module.Profiler`` build tees; return the list they join."""
+def _teed(monkeypatch, *modules):
+    """Make each module's ``Profiler`` build tees; return the list they
+    join."""
     tees = []
 
     def make():
         tees.append(Tee())
         return tees[-1]
 
-    monkeypatch.setattr(module, "Profiler", make)
+    for module in modules:
+        monkeypatch.setattr(module, "Profiler", make)
     return tees
 
 
-def _teed_run(monkeypatch, kernel, arrays, symbols, arch, engine):
-    tees = _teed(monkeypatch, interp)
-    Simulator(arch).run(
+def _teed_run(monkeypatch, kernel, arrays, symbols, arch,
+              simulator=Simulator):
+    tees = _teed(monkeypatch, interp, reference_oracle)
+    simulator(arch).run(
         kernel, {k: np.array(v, copy=True) for k, v in arrays.items()},
-        symbols=symbols, options=RunOptions(profile=True, engine=engine))
+        symbols=symbols, options=RunOptions(profile=True))
     (tee,) = tees
-    tee.assert_agree(f"{kernel.name} ({engine})")
+    tee.assert_agree(f"{kernel.name} ({simulator.__name__})")
     return tee
 
 
@@ -302,21 +315,23 @@ _CASES = {case.name: case for case in default_cases()}
 @pytest.mark.parametrize("name", ["gemm_ampere_swizzled", "moves_ldmatrix",
                                   "gemm_fp8_hopper"])
 def test_conformance_case_matches_oracle(monkeypatch, name):
-    """An ldmatrix/swizzle GEMM on both engines, the ldmatrix move
-    family, and a Hopper TMA kernel (bulk traffic)."""
+    """An ldmatrix/swizzle GEMM, the ldmatrix move family, and a Hopper
+    TMA kernel (bulk traffic), each on the plan engine and the per-lane
+    reference oracle."""
     case = _CASES[name]
-    for engine in ("vectorized", "reference"):
+    for simulator in (Simulator, ReferenceSimulator):
         _teed_run(monkeypatch, case.kernel, case.arrays, case.symbols,
-                  case.arch, engine)
+                  case.arch, simulator)
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("engine", ["vectorized", "reference"])
+@pytest.mark.parametrize("simulator", [Simulator, ReferenceSimulator],
+                         ids=["vectorized", "reference"])
 @pytest.mark.parametrize("name", sorted(_CASES))
-def test_conformance_library_matches_oracle(monkeypatch, name, engine):
+def test_conformance_library_matches_oracle(monkeypatch, name, simulator):
     case = _CASES[name]
     _teed_run(monkeypatch, case.kernel, case.arrays, case.symbols,
-              case.arch, engine)
+              case.arch, simulator)
 
 
 @pytest.mark.slow
@@ -324,7 +339,7 @@ def test_conformance_library_matches_oracle(monkeypatch, name, engine):
 @pytest.mark.parametrize("case", _fuzz_cases(), ids=lambda c: c.name)
 def test_fuzz_corpus_matches_oracle(monkeypatch, case, arch):
     _teed_run(monkeypatch, case.kernel, case.arrays, case.symbols or {},
-              architecture(arch), "vectorized")
+              architecture(arch))
 
 
 @pytest.mark.slow

@@ -6,8 +6,10 @@ the same reports, in the same order, with the same ``suppressed``
 count, as the record-list sanitizer it replaced (kept verbatim in
 :mod:`tests.sim.sanitizer_oracle`).  Two sources feed both classes one
 hook stream: random streams from hypothesis, and real launches teed
-through ``Simulator.run`` over the conformance library, the tuner
-families' candidates, and their barrier-stripped mutants.
+through ``Simulator.run`` (and, for the conformance case, the per-lane
+:mod:`tests.sim.reference_oracle`) over the conformance library, the
+tuner families' candidates, and the barrier-stripped mutants of the
+kernels that hold a barrier.
 """
 
 import random
@@ -18,6 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.conformance.harness import default_cases
+from repro.ir.stmt import Barrier, walk
 from repro.sim import RunOptions, SimulationError, Simulator, strip_barriers
 from repro.sim import interp
 from repro.sim.sanitizer import Sanitizer, verdict
@@ -25,6 +28,8 @@ from repro.tensor import GL, RF, SH
 from repro.tuner import get_space
 
 from ..tuner.test_fleet import FAMILY_SHAPES, _arch_for
+from . import reference_oracle
+from .reference_oracle import ReferenceSimulator
 from .sanitizer_oracle import Sanitizer as OracleSanitizer
 
 
@@ -320,7 +325,8 @@ def test_report_cap_is_reached_identically():
 
 
 # -- real launches --------------------------------------------------------------------
-def _teed_run(monkeypatch, kernel, arrays, symbols, arch, engine):
+def _teed_run(monkeypatch, kernel, arrays, symbols, arch,
+              simulator=Simulator):
     runs = []
 
     def make():
@@ -328,26 +334,34 @@ def _teed_run(monkeypatch, kernel, arrays, symbols, arch, engine):
         return runs[-1]
 
     monkeypatch.setattr(interp, "Sanitizer", make)
+    monkeypatch.setattr(reference_oracle, "Sanitizer", make)
     try:
-        Simulator(arch).run(
+        simulator(arch).run(
             kernel, {k: np.array(v, copy=True) for k, v in arrays.items()},
-            symbols=symbols,
-            options=RunOptions(sanitize="report", engine=engine))
+            symbols=symbols, options=RunOptions(sanitize="report"))
     except SimulationError:
         # A stripped TMA kernel never drains its bulk copies; the hooks
         # fed up to that point must still agree.
         pass
     (tee,) = runs
-    tee.assert_agree(f"{kernel.name} ({engine})")
+    tee.assert_agree(f"{kernel.name} ({simulator.__name__})")
     return tee
 
 
+def _has_barrier(kernel) -> bool:
+    return any(isinstance(stmt, Barrier) for stmt in walk(kernel.body))
+
+
 def _launch_and_mutant(monkeypatch, kernel, arrays, symbols, arch,
-                       engine="vectorized"):
-    clean = _teed_run(monkeypatch, kernel, arrays, symbols, arch, engine)
-    _teed_run(monkeypatch, strip_barriers(kernel), arrays, symbols, arch,
-              engine)
-    return clean
+                       simulator=Simulator):
+    """Tee a launch and, when the kernel holds a barrier, its
+    barrier-stripped mutant (without one the mutant is the same
+    launch).  Returns the clean tee and the mutant's, or None."""
+    clean = _teed_run(monkeypatch, kernel, arrays, symbols, arch, simulator)
+    if not _has_barrier(kernel):
+        return clean, None
+    return clean, _teed_run(monkeypatch, strip_barriers(kernel), arrays,
+                            symbols, arch, simulator)
 
 
 _CASES = {case.name: case for case in default_cases()}
@@ -355,17 +369,18 @@ _CASES = {case.name: case for case in default_cases()}
 
 def test_conformance_case_and_mutant_match_oracle(monkeypatch):
     case = _CASES["gemm_ampere"]
-    for engine in ("vectorized", "reference"):
-        clean = _launch_and_mutant(monkeypatch, case.kernel, case.arrays,
-                                   case.symbols, case.arch, engine)
-        assert clean.shadow.clean()
+    for simulator in (Simulator, ReferenceSimulator):
+        clean, mutant = _launch_and_mutant(
+            monkeypatch, case.kernel, case.arrays, case.symbols, case.arch,
+            simulator)
+        assert clean.shadow.clean() and not mutant.shadow.clean()
 
 
 @pytest.mark.parametrize("family", ["layernorm", "lstm"])
 def test_gate_candidate_and_mutant_match_oracle(monkeypatch, family):
     """The tuner gate's traffic: a fast family's head candidate.  The
-    layernorm kernels carry no barrier, so their mutant is the clean
-    launch again; lstm's mutant races and walks."""
+    layernorm kernels carry no barrier, so they have no mutant; lstm's
+    mutant races and walks."""
     space = get_space(family)
     arch = _arch_for(family)
     shape = space.validate_shape(FAMILY_SHAPES[family])
@@ -374,13 +389,14 @@ def test_gate_candidate_and_mutant_match_oracle(monkeypatch, family):
     kernel = space.build(candidate, vshape)
     bindings, _ = space.verification_problem(candidate, vshape, 0)
     symbols = space.verification_symbols(candidate, vshape)
-    clean = _teed_run(monkeypatch, kernel, bindings, symbols, arch,
-                      "vectorized")
+    clean, mutant = _launch_and_mutant(monkeypatch, kernel, bindings,
+                                       symbols, arch)
     assert clean.shadow.clean()
     assert clean.shadow.batched and not clean.shadow.walked
-    mutant = _teed_run(monkeypatch, strip_barriers(kernel), bindings,
-                       symbols, arch, "vectorized")
-    assert mutant.shadow.clean() == (family == "layernorm")
+    if family == "layernorm":
+        assert mutant is None
+    else:
+        assert not mutant.shadow.clean()
 
 
 @pytest.mark.slow
@@ -393,6 +409,9 @@ def test_conformance_library_matches_oracle(monkeypatch, name):
 
 #: Candidates checked per tuner family (the head of its space).
 _CANDIDATES_PER_FAMILY = 5
+#: Tuner families whose kernels hold no barrier, so have no mutant.
+_BARRIER_FREE_FAMILIES = {"gemm_naive", "gemm_parametric", "layernorm",
+                          "softmax"}
 
 
 @pytest.mark.slow
@@ -401,6 +420,7 @@ def test_tuner_candidates_match_oracle(monkeypatch, family):
     space = get_space(family)
     arch = _arch_for(family)
     shape = space.validate_shape(FAMILY_SHAPES[family])
+    mutants = 0
     for i, candidate in enumerate(space.candidates(shape, arch)):
         if i == _CANDIDATES_PER_FAMILY:
             break
@@ -408,4 +428,8 @@ def test_tuner_candidates_match_oracle(monkeypatch, family):
         kernel = space.build(candidate, vshape)
         bindings, _ = space.verification_problem(candidate, vshape, 0)
         symbols = space.verification_symbols(candidate, vshape)
-        _launch_and_mutant(monkeypatch, kernel, bindings, symbols, arch)
+        _, mutant = _launch_and_mutant(monkeypatch, kernel, bindings,
+                                       symbols, arch)
+        mutants += mutant is not None
+    # Mutant coverage of the gate must not vanish silently.
+    assert (mutants > 0) == (family not in _BARRIER_FREE_FAMILIES)

@@ -49,12 +49,11 @@ class TestNoDeprecationWarnings:
                 "C": np.zeros((16, 16), np.float16),
             }
             sim = Simulator(AMPERE)
-            # Both the options object and the explicit legacy keywords.
+            # Both the options object and the explicit keywords.
             result = sim.run(kernel, arrays,
                              options=RunOptions(sanitize=True, profile=True))
             assert result.profile is not None
-            result = sim.run(kernel, arrays, sanitize=True, profile=True,
-                             engine="reference")
+            result = sim.run(kernel, arrays, sanitize=True, profile=True)
             assert result.profile is not None
 
 
@@ -118,3 +117,44 @@ class TestRetiredSurface:
         result = Simulator(AMPERE).run(kernel, arrays)
         with pytest.raises(AttributeError, match=r"result\.machine\."):
             result.shared_bytes
+
+
+class TestOneEngine:
+    """The plan engine is the only engine: the per-lane reference
+    interpreter lives with the tests, and no option selects it."""
+
+    def test_run_options_fields(self):
+        from dataclasses import fields
+
+        from repro.sim import RunOptions
+
+        assert [f.name for f in fields(RunOptions)] == ["sanitize", "profile"]
+
+    def test_engine_keyword_rejected(self):
+        from repro.arch import AMPERE
+        from repro.kernels import NaiveGemmConfig, build
+        from repro.sim import RunOptions, Simulator
+
+        with pytest.raises(TypeError):
+            RunOptions(engine="reference")
+        kernel = build(NaiveGemmConfig(16, 16, 16, grid=(2, 2),
+                                       threads=(2, 2)))
+        arrays = {name: np.zeros((16, 16), np.float16)
+                  for name in ("A", "B", "C")}
+        with pytest.raises(TypeError):
+            Simulator(AMPERE).run(kernel, arrays, engine="reference")
+
+    def test_sim_exports_no_interpreter(self):
+        import repro.sim
+
+        for name in ("ExecCtx", "ENGINES", "resolve_run_options"):
+            assert name not in repro.sim.__all__
+            assert not hasattr(repro.sim, name)
+
+    def test_src_never_imports_tests(self):
+        src = pathlib.Path(repro.__file__).resolve().parent
+        pattern = re.compile(r"^\s*(?:from|import)\s+tests\b", re.M)
+        offenders = [str(path.relative_to(src))
+                     for path in sorted(src.rglob("*.py"))
+                     if pattern.search(path.read_text())]
+        assert not offenders, offenders

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.arch import AMPERE, HOPPER, VOLTA, architecture, registered
+from repro.sim.plan import _runner_for
+from tests.sim.reference_oracle import semantics_for
 
 
 class TestRegistry:
@@ -96,6 +98,10 @@ class TestInstructionSets:
             assert arch.atomics[-1].name == "move.thread.generic"
 
     def test_every_atomic_has_simulator_semantics(self):
+        """Every atomic compiles to a vectorized plan runner, and the
+        per-lane reference oracle has scalar semantics for it."""
         for arch in (VOLTA, AMPERE, HOPPER):
             for atomic in arch.atomics:
-                assert atomic.execute is not None, atomic.name
+                runner, _ = _runner_for(atomic)
+                assert callable(runner), atomic.name
+                assert semantics_for(atomic) is not None, atomic.name
