@@ -120,46 +120,47 @@ def _smoke_problem(figure: str, seed: int):
     return kernel, bindings
 
 
+def _best_time(build, layouts, repeats: int) -> float:
+    """Best-of-``repeats`` seconds to build every layout's offset table."""
+    best = None
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for layout in layouts:
+            build(layout)
+        elapsed = time.perf_counter() - start
+        best = elapsed if best is None else min(best, elapsed)
+    return best
+
+
 def time_plan_compile(figure: str, arch="ampere", seed: int = 0,
                       repeats: int = 3) -> dict:
-    """Cold index-compile time for one family, linear vs expression.
+    """Cold offset-table compile time for one family, linear vs walk.
 
-    One run under ``"auto"`` collects every tensor view the family's
-    launch plan enumerates; the measurement then recompiles that exact
-    view population from scratch under each mode — ``"auto"`` compiles
-    power-of-two views of :data:`~repro.sim.access.LINEAR_MIN_SIZE`
-    elements or more through the F2 bit-matrix path, ``"expression"``
-    walks coordinates through the layout algebra on every view.  The
-    rest of plan compilation (runner selection, fragment index maps) is
-    mode-independent, so this isolates exactly what the F2 engine
-    changes.  Best-of-``repeats``.
+    One run compiles the family's launch plan; the measurement then
+    rebuilds the offset tables of every view in the plan's view table
+    from scratch with the two uncached builders: ``"auto"``
+    (:func:`~repro.sim.access.relative_offsets` unmemoized) takes the
+    F2 bit-matrix path on power-of-two views of
+    :data:`~repro.sim.access.LINEAR_MIN_SIZE` elements or more,
+    ``"expression"`` (:func:`~repro.sim.access.walk_offsets`) walks
+    coordinates through the layout algebra on every view.  The rest of
+    plan compilation (base-offset closures, runner selection, fragment
+    index maps) is the same either way, so this isolates exactly what
+    the F2 engine changes.  Best-of-``repeats``.
     """
-    from ..sim import Simulator, access
-    from ..sim.access import TensorAccessor, index_compiler
+    from ..sim import Simulator
+    from ..sim.access import linear_form, relative_offsets, walk_offsets
 
     if isinstance(arch, str):
         arch = architecture(arch)
     kernel, bindings = _smoke_problem(figure, seed)
+    sim = Simulator(arch)
+    sim.run(kernel, bindings)
+    plan = sim.plan_cache.lookup(kernel, arch, {}, bindings)
+    layouts = [tensor.layout for tensor, _ in plan.views.values()]
 
-    with index_compiler("auto"):
-        Simulator(arch).run(kernel, bindings)
-        built = list(access._ACCESSOR_CACHE.values())
-        tensors = [a.tensor for a in built]
-        linear_accessors = sum(a.compiled_via == "linear" for a in built)
-
-    def compile_all(mode):
-        best = None
-        for _ in range(repeats):
-            with index_compiler(mode):
-                start = time.perf_counter()
-                for tensor in tensors:
-                    TensorAccessor(tensor)
-                elapsed = time.perf_counter() - start
-            best = elapsed if best is None else min(best, elapsed)
-        return best
-
-    auto_s = compile_all("auto")
-    expression_s = compile_all("expression")
+    auto_s = _best_time(relative_offsets.__wrapped__, layouts, repeats)
+    expression_s = _best_time(walk_offsets, layouts, repeats)
     return {
         "figure": figure,
         "kernel": kernel.name,
@@ -167,8 +168,9 @@ def time_plan_compile(figure: str, arch="ampere", seed: int = 0,
         "index_compile_auto_s": auto_s,
         "index_compile_expression_s": expression_s,
         "speedup": expression_s / auto_s,
-        "linear_accessors": linear_accessors,
-        "total_accessors": len(tensors),
+        "linear_accessors": sum(
+            linear_form(layout) is not None for layout in layouts),
+        "total_accessors": len(layouts),
     }
 
 
@@ -181,30 +183,18 @@ def _large_view_probes(repeats: int) -> List[dict]:
     block-level planning and the fuzzers' conformance sweeps hit.
     """
     from ..layout import Layout
-    from ..sim.access import TensorAccessor, index_compiler
-    from ..tensor.dtypes import FP16
-    from ..tensor.memspace import GL
-    from ..tensor.tensor import Tensor
+    from ..sim.access import relative_offsets, walk_offsets
 
     probes = []
     for rows, cols in ((32, 32), (64, 64), (128, 128)):
-        tensor = Tensor("probe", Layout((rows, cols), (cols, 1)), FP16, GL,
-                        buffer="probe")
-        times = {}
-        for mode in ("auto", "expression"):
-            best = None
-            for _ in range(repeats):
-                with index_compiler(mode):
-                    start = time.perf_counter()
-                    TensorAccessor(tensor)
-                    elapsed = time.perf_counter() - start
-                best = elapsed if best is None else min(best, elapsed)
-            times[mode] = best
+        layouts = [Layout((rows, cols), (cols, 1))]
+        auto_s = _best_time(relative_offsets.__wrapped__, layouts, repeats)
+        expression_s = _best_time(walk_offsets, layouts, repeats)
         probes.append({
             "shape": [rows, cols],
-            "index_compile_auto_s": times["auto"],
-            "index_compile_expression_s": times["expression"],
-            "speedup": times["expression"] / times["auto"],
+            "index_compile_auto_s": auto_s,
+            "index_compile_expression_s": expression_s,
+            "speedup": expression_s / auto_s,
         })
     return probes
 
@@ -219,10 +209,10 @@ def run_plan_compile_bench(
     """Cold-compile every smoke family both ways; write
     ``BENCH_plan_compile.json``.
 
-    The artifact records, per family, the time to compile the family's
-    full accessor population with the F2 linear index path enabled
-    (``auto``) and disabled (``expression``), plus how many of the
-    accessors the linear path actually compiled.  Returns the artifact
+    The artifact records, per family, the time to build the offset
+    tables of the family's full view population with the F2 linear path
+    enabled (``auto``) and disabled (``expression``), plus how many of
+    the views the linear path actually builds.  Returns the artifact
     path.
     """
     names = figures or sorted(smoke_families())

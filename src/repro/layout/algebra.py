@@ -25,7 +25,7 @@ class LayoutAlgebraError(ValueError):
     """Raised when a layout operation is undefined for its operands."""
 
 
-def _memoized(body):
+def memoized(body):
     """Serve ``body`` from a bounded LRU cache keyed on its arguments.
 
     Only plain-int layouts and ints are cache keys (see ``is_plain``);
@@ -93,7 +93,7 @@ def factor_offsets(offsets: Sequence[int]) -> Layout:
     return Layout(tuple(shapes), tuple(strides))
 
 
-@_memoized
+@memoized
 def composition(lhs: Layout, rhs: Layout) -> Layout:
     """Functional composition ``R = lhs o rhs`` with ``R(c) = lhs(rhs(c))``.
 
@@ -115,7 +115,7 @@ def composition(lhs: Layout, rhs: Layout) -> Layout:
     return factor_offsets(offsets)
 
 
-@_memoized
+@memoized
 def complement(layout: Layout, cosize: int) -> Layout:
     """The layout covering ``[0, cosize)`` jointly with ``layout``.
 
@@ -161,7 +161,7 @@ def complement(layout: Layout, cosize: int) -> Layout:
     return Layout(tuple(shapes), tuple(strides))
 
 
-@_memoized
+@memoized
 def logical_divide(layout: Layout, tiler: Layout) -> Layout:
     """Divide a rank-1 ``layout`` by a ``tiler``: ``((tile), (rest))``.
 

@@ -1,9 +1,6 @@
 """The functional GPU simulator (hardware substitute; see DESIGN.md)."""
 
-from .access import (
-    TensorAccessor, accessor, clear_accessor_caches, compile_expr,
-    get_index_compiler, index_compiler, set_index_compiler, tile_views,
-)
+from .access import compile_expr
 from .errors import SimulationError
 from .interp import RunResult, Simulator, bind_launch
 from .machine import Machine
@@ -17,9 +14,7 @@ from .sanitizer import (
 )
 
 __all__ = [
-    "TensorAccessor", "accessor", "clear_accessor_caches",
-    "compile_expr", "get_index_compiler", "index_compiler",
-    "set_index_compiler", "tile_views",
+    "compile_expr",
     "RunResult", "SimulationError", "Simulator", "bind_launch",
     "Machine",
     "RunOptions",

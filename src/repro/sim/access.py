@@ -1,31 +1,38 @@
-"""Compiled tensor accessors for the functional simulator.
+"""Offset tables of tensor views for the functional simulator.
 
-A tensor view in the IR is a fixed object whose offset expression contains
-symbolic loop/thread variables.  For speed, each view is compiled once
-into closures: a base-offset evaluator, the constant per-element offsets
-of its (concrete) shape, and guard evaluators for predicated views.
+A tensor view in the IR is a fixed object: a base-offset expression
+over loop, block and thread variables, a layout, a swizzle and optional
+guards.  The simulator compiles the expressions into closures
+(:func:`compile_expr`) and enumerates the layout once:
+:func:`relative_offsets` gives every element's offset from the base in
+colexicographic coordinate order, and :func:`guard_coords` gives every
+element's coordinate along one guarded dimension.
 
-Power-of-two views take the *linear* (F2) compile path: the relative
-offset array is produced by XOR-accumulating whole lane vectors — one
-numpy operation per layout *bit* instead of one coordinate walk per
-*element* (see :mod:`repro.layout.linear`).  Views the F2 form cannot
-represent (non-power-of-two shapes, non-power-of-two strides, symbolic
-leaves) fall back to the per-element expression path; both paths
-produce bit-identical offset lists.  ``set_index_compiler`` /
-``index_compiler`` select the path globally, mainly so differential
-tests and the plan-compile benchmark can pin one side.
+An offset table is a function of the layout alone, so it is memoized by
+value under the layout algebra's rule: a bounded LRU keyed on plain-int
+layouts, with symbolic layouts computed directly.  Power-of-two layouts
+of :data:`LINEAR_MIN_SIZE` elements or more take the linear (F2) path
+(:func:`linear_form`): the table comes from XOR-accumulating whole lane
+vectors — one numpy operation per layout *bit* instead of one coordinate
+walk per *element* (see :mod:`repro.layout.linear`).  Every other layout
+walks its coordinates (:func:`walk_offsets`); both paths produce the
+same table.
+
+Nothing here caches a compiled view: a launch plan keeps one per tensor
+for as long as the plan lives (:class:`repro.sim.plan.LaunchPlan`).
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 import numpy as np
 
 from ..ir.expr import Add, Const, FloorDiv, IntExpr, Mod, Mul, Sub, Var
 from ..layout import inttuple as it
-from ..layout.linear import LinearLayoutError, to_linear
+from ..layout.algebra import memoized
+from ..layout.layout import Layout
+from ..layout.linear import LinearLayout, LinearLayoutError, to_linear
 from ..tensor.tensor import Tensor, Tile
 
 
@@ -52,206 +59,78 @@ def compile_expr(expr: IntExpr) -> Callable[[dict], int]:
     raise TypeError(f"cannot compile expression {expr!r}")
 
 
-#: Index-compiler mode: "auto" tries the F2 linear path and falls back,
-#: "expression" always walks coordinates through the layout algebra.
-_INDEX_MODES = ("auto", "expression")
-_index_mode = "auto"
-
 #: The F2 path has fixed setup cost (bit-matrix construction plus a
 #: vectorized apply); below this view size the coordinate walk is
-#: cheaper, so "auto" keeps it.  Measured crossover: size 8.
+#: cheaper, so it keeps the walk.  Measured crossover: size 8.
 LINEAR_MIN_SIZE = 8
 
 
-def get_index_compiler() -> str:
-    return _index_mode
+def linear_form(layout: Layout) -> Optional[LinearLayout]:
+    """The F2 form an offset table is built from, or None to walk.
 
-
-def set_index_compiler(mode: str) -> None:
-    """Select the accessor compile path and drop compiled accessors."""
-    global _index_mode
-    if mode not in _INDEX_MODES:
-        raise ValueError(
-            f"unknown index compiler {mode!r}; choose from {_INDEX_MODES}")
-    _index_mode = mode
-    clear_accessor_caches()
-
-
-@contextmanager
-def index_compiler(mode: str):
-    """Temporarily pin the accessor compile path (tests/benchmarks)."""
-    previous = _index_mode
-    set_index_compiler(mode)
+    None when the F2 form cannot represent the layout (non-power-of-two
+    shapes or strides, symbolic leaves) and when the layout has fewer
+    than :data:`LINEAR_MIN_SIZE` elements.
+    """
+    size = layout.size()
+    if not isinstance(size, int) or size < LINEAR_MIN_SIZE:
+        return None
     try:
-        yield
-    finally:
-        set_index_compiler(previous)
+        return to_linear(layout)
+    except LinearLayoutError:
+        return None
 
 
-def clear_accessor_caches() -> None:
-    """Forget all compiled accessors and tile views (cold-start state)."""
-    _ACCESSOR_CACHE.clear()
-    _CACHE_KEEPALIVE.clear()
-    _TILE_VIEWS.clear()
+def walk_offsets(layout: Layout) -> np.ndarray:
+    """The offset table, walking every coordinate through the layout."""
+    offsets = [layout(c) for c in it.iter_coords(layout.shape)]
+    if any(not isinstance(o, int) for o in offsets):
+        raise TypeError(f"layout {layout!r} has symbolic strides; "
+                        "cannot simulate")
+    return np.array(offsets, dtype=np.int64)
 
 
-class TensorAccessor:
-    """Pre-compiled element enumeration for one tensor view.
+@memoized
+def relative_offsets(layout: Layout) -> np.ndarray:
+    """Every element's offset from the view base, colex order.
 
-    ``offsets(env)`` returns the physical (post-swizzle) element offsets
-    of the view's elements in colexicographic coordinate order;
-    ``mask(env)`` returns per-element validity under the view's guards.
-    ``compiled_via`` records which path built the offset table
-    (``"linear"`` or ``"expression"``).
+    A read-only int64 array, shared by every caller with an equal
+    layout.  Raises TypeError for a symbolic layout.
     """
-
-    __slots__ = (
-        "tensor", "_base", "_rel", "_coords", "_guards", "size",
-        "compiled_via",
-    )
-
-    def __init__(self, tensor: Tensor):
-        if isinstance(tensor.element, Tile):
-            raise TypeError(
-                f"cannot build an element accessor for tiled tensor {tensor!r};"
-                " index a tile first"
-            )
-        shape = tensor.layout.shape
-        size = it.product(shape)
-        if not isinstance(size, int):
-            raise TypeError(f"cannot enumerate symbolic tensor {tensor!r}")
-        self.tensor = tensor
-        self.size = size
-        self._base = compile_expr(tensor.offset)
-        coords = None
-        rel = None
-        compiled_via = "expression"
-        if shape == ():
-            rel = [0]
-        elif _index_mode == "auto" and size >= LINEAR_MIN_SIZE:
-            try:
-                lin = to_linear(tensor.layout)
-            except LinearLayoutError:
-                lin = None
-            if lin is not None:
-                rel = lin.apply_to_range(size).tolist()
-                compiled_via = "linear"
-        if rel is None:
-            coords = list(it.iter_coords(shape))
-            rel = [tensor.layout(c) for c in coords]
-            if any(not isinstance(r, int) for r in rel):
-                raise TypeError(
-                    f"tensor {tensor!r} has symbolic strides; cannot simulate"
-                )
-        self._rel = rel
-        self._coords = coords
-        self.compiled_via = compiled_via
-        guards: List[Tuple[Callable, Callable, List[int]]] = []
-        if tensor.guards is not None:
-            for d, guard in enumerate(tensor.guards):
-                if guard is None:
-                    continue
-                origin = compile_expr(guard.origin)
-                extent = compile_expr(guard.extent)
-                # Logical coordinate along dim d for each element.
-                if coords is not None:
-                    dim_coords = [_dim_coord(c, d) for c in coords]
-                else:
-                    dim_coords = _dim_coords_vec(shape, size, d)
-                guards.append((origin, extent, dim_coords))
-        self._guards = guards
-
-    def offsets(self, env: dict) -> List[int]:
-        base = self._base(env)
-        tensor = self.tensor
-        if tensor.swizzle.is_identity():
-            return [base + r for r in self._rel]
-        sw = tensor.swizzle
-        return [sw(base + r) for r in self._rel]
-
-    def mask(self, env: dict) -> Optional[List[bool]]:
-        """Validity of each element, or None when unguarded."""
-        if not self._guards:
-            return None
-        valid = [True] * self.size
-        for origin, extent, dim_coords in self._guards:
-            base = origin(env)
-            limit = extent(env)
-            for i, c in enumerate(dim_coords):
-                if base + c >= limit:
-                    valid[i] = False
-        return valid
+    lin = linear_form(layout)
+    if lin is None:
+        offsets = walk_offsets(layout)
+    else:
+        offsets = lin.apply_to_range(layout.size())
+    offsets.setflags(write=False)
+    return offsets
 
 
-def _dim_coord(coord, dim: int) -> int:
-    """The flat logical coordinate along top-level dim ``dim``.
+def guard_coords(shape, dim: int) -> np.ndarray:
+    """Every element's logical coordinate along top-level dim ``dim``.
 
-    Views of lower rank than their guards (e.g. a scalar element view)
-    contribute 0: their position is already folded into the guard
-    origin during indexing.
-    """
-    if not isinstance(coord, tuple):
-        return coord if dim == 0 else 0
-    if dim >= len(coord):
-        return 0
-    entry = coord[dim]
-    if isinstance(entry, tuple):
-        # Hierarchical dims do not participate in ragged-guard logic.
-        raise TypeError("guards on hierarchical dimensions are unsupported")
-    return entry
-
-
-def _dim_coords_vec(shape, size: int, dim: int) -> List[int]:
-    """Vectorized :func:`_dim_coord` over all colex coordinates.
-
-    Mode ``dim``'s coordinate cycles with period ``prod(dims[:dim])``
-    (mode 0 fastest); matches the per-coordinate walk bit for bit,
-    including the TypeError contract for hierarchical guard dims.
+    Colex order, like :func:`relative_offsets`: mode ``dim``'s
+    coordinate cycles with period ``prod(dims[:dim])`` (mode 0
+    fastest).  Views of lower rank than their guards (e.g. a scalar
+    element view) contribute 0: their position is already folded into
+    the guard origin during indexing.
     """
     dims = it.as_tuple(shape) if shape != () else ()
+    size = it.product(shape)
     if dim >= len(dims):
-        return [0] * size
+        return np.zeros(size, dtype=np.int64)
     entry = dims[dim]
     if it.is_tuple(entry):
         raise TypeError("guards on hierarchical dimensions are unsupported")
-    pre = 1
-    for mode in dims[:dim]:
-        pre *= it.product(mode)
-    return ((np.arange(size) // pre) % entry).tolist()
-
-
-_ACCESSOR_CACHE: Dict[int, TensorAccessor] = {}
-_CACHE_KEEPALIVE: Dict[int, Tensor] = {}
-
-
-def accessor(tensor: Tensor) -> TensorAccessor:
-    """A cached accessor for a tensor view (views are immutable)."""
-    key = id(tensor)
-    acc = _ACCESSOR_CACHE.get(key)
-    if acc is None or acc.tensor is not tensor:
-        acc = TensorAccessor(tensor)
-        _ACCESSOR_CACHE[key] = acc
-        _CACHE_KEEPALIVE[key] = tensor
-    return acc
-
-
-_TILE_VIEWS: Dict[int, Tuple[Tensor, list]] = {}
+    return (np.arange(size, dtype=np.int64) // it.product(dims[:dim])) \
+        % entry
 
 
 def tile_views(tensor: Tensor) -> List[Tensor]:
     """All tile sub-views of a (one-level) tiled tensor, colex order.
 
-    Untiled tensors yield themselves; results are cached so repeated
-    fragment reads reuse the same view objects (and thus accessors).
+    Untiled tensors yield themselves.
     """
-    cached = _TILE_VIEWS.get(id(tensor))
-    if cached is not None and cached[0] is tensor:
-        return cached[1]
     if not isinstance(tensor.element, Tile):
-        views = [tensor]
-    else:
-        views = [
-            tensor[crd] for crd in it.iter_coords(tensor.layout.shape)
-        ]
-    _TILE_VIEWS[id(tensor)] = (tensor, views)
-    return views
+        return [tensor]
+    return [tensor[crd] for crd in it.iter_coords(tensor.layout.shape)]

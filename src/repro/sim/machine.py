@@ -14,7 +14,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from ..tensor.dtypes import DType
-from ..tensor.memspace import GL, RF, SH, MemSpace
+from ..tensor.memspace import GL, SH, MemSpace
 
 
 class Machine:
@@ -69,9 +69,13 @@ class Machine:
         name: str,
         dtype: DType,
         block: int,
-        thread: int,
         min_size: int,
     ) -> np.ndarray:
+        """A global or block-shared buffer, grown to ``min_size``.
+
+        Registers are per thread: the plan engine stages them in bulk
+        and stores them in ``_regs`` keyed ``(block, thread, name)``.
+        """
         if mem == GL:
             if name not in self._global:
                 raise KeyError(
@@ -80,11 +84,7 @@ class Machine:
             return self._global[name]
         if mem == SH:
             return self._scoped(self._shared, (block, name), name, dtype, min_size)
-        if mem == RF:
-            return self._scoped(
-                self._regs, (block, thread, name), name, dtype, min_size
-            )
-        raise ValueError(f"unknown memory space {mem!r}")
+        raise ValueError(f"no block-scoped buffer in memory space {mem!r}")
 
     def _scoped(self, table, key, name, dtype: DType, min_size: int) -> np.ndarray:
         buf = table.get(key)

@@ -14,10 +14,11 @@ The plan layer sits under ``Simulator.run``:
   an atomic without one is a :class:`SimulationError` before anything
   executes.
 * :class:`ViewPlan` precomputes each tensor view's ``(lane, element) ->
-  flat offset`` index array (and guard mask).  Arrays are cached keyed
-  on the values of the view's free variables: loop-invariant views are
-  hoisted to a single entry reused across iterations *and* blocks;
-  loop-dependent views get one entry per binding.
+  flat offset`` index array (and guard mask) from the view's entry in
+  the plan's :class:`ViewTable`.  Arrays are cached keyed on the values
+  of the view's free variables: loop-invariant views are hoisted to a
+  single entry reused across iterations *and* blocks; loop-dependent
+  views get one entry per binding.
 * Replay is block-batched: blocks are independent, so one compiled plan
   replays across the whole grid, with every cross-block-invariant index
   array computed exactly once.
@@ -39,8 +40,9 @@ import io
 import pickle
 import sys
 import threading
+import weakref
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -52,14 +54,58 @@ from ..layout import inttuple as it
 from ..layout.linear import LinearLayoutError, to_linear
 from ..specs.atomic import match_atomic
 from ..specs.base import Allocate, Init, Move
-from ..tensor.memspace import GL, RF, SH
+from ..tensor.memspace import RF, SH
 from ..tensor.tensor import Tensor, Tile
-from .access import accessor, compile_expr, tile_views
+from .access import (
+    compile_expr, guard_coords, relative_offsets, tile_views,
+)
 from .errors import SimulationError
 
 #: Per-view cap on cached (offsets, mask) entries; loop-variant views
 #: with more distinct bindings than this recompute after a cache clear.
 VIEW_CACHE_ENTRIES = 512
+
+
+def _compile_view(tensor) -> tuple:
+    """The lane-independent part of a view's plan.
+
+    ``(base, rel, guards, key_vars)``: the base-offset closure, the
+    offset table, one ``(origin, extent, coords)`` triple per guarded
+    dimension, and the free variables other than ``threadIdx.x`` that
+    the view's index arrays depend on.
+    """
+    if isinstance(tensor.element, Tile):
+        raise TypeError(f"cannot enumerate the elements of tiled tensor "
+                        f"{tensor!r}; index a tile first")
+    rel = relative_offsets(tensor.layout)
+    names = set(tensor.offset.free_vars())
+    guards = []
+    for dim, guard in enumerate(tensor.guards or ()):
+        if guard is not None:
+            names |= guard.origin.free_vars() | guard.extent.free_vars()
+            guards.append((compile_expr(guard.origin),
+                           compile_expr(guard.extent),
+                           guard_coords(tensor.layout.shape, dim)))
+    names.discard("threadIdx.x")
+    return (compile_expr(tensor.offset), rel, tuple(guards),
+            tuple(sorted(names)))
+
+
+class ViewTable(dict):
+    """A launch plan's compiled views: ``id(tensor) -> (tensor, view)``.
+
+    Each entry holds its tensor, so no key can be recycled while the
+    table lives, and the table lives exactly as long as its plan.
+    Threads racing on a first use build equal values; the last store
+    wins.
+    """
+
+    def compiled(self, tensor) -> tuple:
+        """``tensor``'s lane-independent view plan, built on first use."""
+        entry = self.get(id(tensor))
+        if entry is None or entry[0] is not tensor:
+            entry = self[id(tensor)] = (tensor, _compile_view(tensor))
+        return entry[1]
 
 
 class ViewPlan:
@@ -74,37 +120,18 @@ class ViewPlan:
     """
 
     __slots__ = (
-        "tensor", "size", "is_gl", "is_sh", "is_rf",
-        "lane_arr", "_base", "_rel", "_swizzle", "_guards", "_key_vars",
-        "_cache",
+        "tensor", "is_sh", "is_rf", "lane_arr", "_base", "_rel",
+        "_swizzle", "_guards", "_key_vars", "_cache",
     )
 
-    def __init__(self, tensor, lanes):
-        acc = accessor(tensor)
+    def __init__(self, tensor, lanes, compiled):
         self.tensor = tensor
-        self.size = acc.size
-        self.is_gl = tensor.mem == GL
         self.is_sh = tensor.mem == SH
         self.is_rf = tensor.mem == RF
         self.lane_arr = np.asarray(lanes, dtype=np.int64)
-        self._base = acc._base
-        self._rel = np.asarray(acc._rel, dtype=np.int64)
+        self._base, self._rel, self._guards, self._key_vars = compiled
         sw = tensor.swizzle
         self._swizzle = None if sw.is_identity() else sw
-        names = set(tensor.offset.free_vars())
-        guards = []
-        if tensor.guards is not None:
-            for guard in tensor.guards:
-                if guard is not None:
-                    names |= guard.origin.free_vars()
-                    names |= guard.extent.free_vars()
-        for origin, extent, dim_coords in acc._guards:
-            guards.append(
-                (origin, extent, np.asarray(dim_coords, dtype=np.int64))
-            )
-        self._guards = guards
-        names.discard("threadIdx.x")
-        self._key_vars = tuple(sorted(names))
         self._cache: Dict[tuple, tuple] = {}
 
     def offsets_mask(self, env: dict):
@@ -144,14 +171,19 @@ class ViewPlan:
 
 
 class GroupPlan:
-    """One lane group of a spec: its lanes and per-view plans."""
+    """One lane group of a spec: its lanes and per-view plans.
 
-    __slots__ = ("lanes", "lane_arr", "nlanes", "_views", "_lead")
+    A view's lane-independent part comes from the owning plan's
+    :class:`ViewTable`; the group adds its lanes.
+    """
 
-    def __init__(self, lanes):
+    __slots__ = ("lanes", "lane_arr", "nlanes", "_table", "_views", "_lead")
+
+    def __init__(self, lanes, table: ViewTable):
         self.lanes = list(lanes)
         self.lane_arr = np.asarray(self.lanes, dtype=np.int64)
         self.nlanes = len(self.lanes)
+        self._table = table
         self._views: Dict[int, ViewPlan] = {}
         self._lead: Optional["GroupPlan"] = None
 
@@ -161,13 +193,13 @@ class GroupPlan:
         collective performs once for the whole group (warpgroup
         shared-tile reads, TMA copies), so their views hold one row."""
         if self._lead is None:
-            self._lead = GroupPlan(self.lanes[:1])
+            self._lead = GroupPlan(self.lanes[:1], self._table)
         return self._lead
 
     def view(self, tensor) -> ViewPlan:
         vp = self._views.get(id(tensor))
         if vp is None or vp.tensor is not tensor:
-            vp = ViewPlan(tensor, self.lanes)
+            vp = ViewPlan(tensor, self.lanes, self._table.compiled(tensor))
             self._views[id(tensor)] = vp
         return vp
 
@@ -413,7 +445,8 @@ class _SpecPlan:
             label += f"[{spec.label}]"
         self.label = label
         self.groups = [
-            GroupPlan(lanes) for lanes in _lane_groups(spec, plan.nthreads)
+            GroupPlan(lanes, plan.views)
+            for lanes in _lane_groups(spec, plan.nthreads)
         ]
         self.runner, self.aux = _select_runner(spec, atomic)
 
@@ -820,7 +853,7 @@ class _Replay:
         else:
             buf = self.machine.buffer(
                 vp.tensor.mem, vp.tensor.buffer, vp.tensor.dtype,
-                self.bid, 0, int(offs_eff.max()) + 1,
+                self.bid, int(offs_eff.max()) + 1,
             )
             values = buf[offs_eff]
         if mask_sel is not None:
@@ -859,7 +892,7 @@ class _Replay:
             else:
                 lane_ids = None
                 buf = self.machine.buffer(
-                    tensor.mem, tensor.buffer, tensor.dtype, self.bid, 0,
+                    tensor.mem, tensor.buffer, tensor.dtype, self.bid,
                     int(offs_sel.max()) + 1,
                 )
                 buf[offs_sel] = values.astype(buf.dtype, copy=False)
@@ -893,7 +926,7 @@ class _Replay:
         else:
             lane_mat = None
             buf = self.machine.buffer(
-                tensor.mem, tensor.buffer, tensor.dtype, self.bid, 0,
+                tensor.mem, tensor.buffer, tensor.dtype, self.bid,
                 int(flat_offs.max()) + 1,
             )
             buf[flat_offs] = flat_vals
@@ -959,10 +992,9 @@ class _Replay:
 
 
 # -- kernel identity -----------------------------------------------------------
-#: id(kernel) -> (kernel, fingerprint).  The strong kernel reference
-#: keeps the id from being recycled while its fingerprint is cached.
-_FINGERPRINTS: Dict[int, Tuple[object, str]] = {}
-_FINGERPRINT_CACHE_ENTRIES = 256
+#: kernel -> fingerprint, for as long as the kernel lives.
+_FINGERPRINTS: "weakref.WeakKeyDictionary[object, str]" = \
+    weakref.WeakKeyDictionary()
 
 
 def _canonical_view(tensor):
@@ -1031,15 +1063,12 @@ def kernel_fingerprint(kernel) -> str:
     Move/Init view's layout is spelled share a fingerprint — and with
     it a compiled plan and a captured graph.
     """
-    cached = _FINGERPRINTS.get(id(kernel))
-    if cached is not None and cached[0] is kernel:
-        return cached[1]
-    buffer = io.BytesIO()
-    _CanonicalPickler(buffer, protocol=4).dump(kernel)
-    digest = hashlib.sha256(buffer.getvalue()).hexdigest()
-    if len(_FINGERPRINTS) >= _FINGERPRINT_CACHE_ENTRIES:
-        _FINGERPRINTS.clear()
-    _FINGERPRINTS[id(kernel)] = (kernel, digest)
+    digest = _FINGERPRINTS.get(kernel)
+    if digest is None:
+        buffer = io.BytesIO()
+        _CanonicalPickler(buffer, protocol=4).dump(kernel)
+        digest = hashlib.sha256(buffer.getvalue()).hexdigest()
+        _FINGERPRINTS[kernel] = digest
     return digest
 
 
@@ -1072,13 +1101,14 @@ class CacheStats:
 class LaunchPlan:
     """A kernel's decomposition tree compiled for vectorized replay."""
 
-    __slots__ = ("kernel", "arch", "nthreads", "grid_size", "root")
+    __slots__ = ("kernel", "arch", "nthreads", "grid_size", "views", "root")
 
     def __init__(self, kernel, arch):
-        self.kernel = kernel  # strong ref: cache keys use id(kernel)
+        self.kernel = kernel
         self.arch = arch
         self.nthreads = kernel.block_size()
         self.grid_size = kernel.grid_size()
+        self.views = ViewTable()
         self.root = self._compile_block(kernel.body)
 
     def __reduce__(self):

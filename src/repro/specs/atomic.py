@@ -108,14 +108,12 @@ class AtomicSpec:
     """One entry of the atomic-spec table (paper Table 2).
 
     The functional simulator executes an entry by its ``kind`` and
-    ``instruction`` (:mod:`repro.sim.plan`); ``emit`` renders CUDA C++ /
-    inline PTX; ``cost`` reports the event used by the analytical
-    performance model.
+    ``instruction`` (:mod:`repro.sim.plan`).
     """
 
     __slots__ = (
         "name", "kind", "instruction", "width", "in_patterns",
-        "out_patterns", "predicate", "emit", "cost",
+        "out_patterns", "predicate",
     )
 
     def __init__(
@@ -127,8 +125,6 @@ class AtomicSpec:
         in_patterns: Sequence[OperandPattern],
         out_patterns: Sequence[OperandPattern],
         predicate: Optional[Callable[[Spec], bool]] = None,
-        emit: Optional[Callable] = None,
-        cost: Optional[Callable] = None,
     ):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "kind", kind)
@@ -137,8 +133,6 @@ class AtomicSpec:
         object.__setattr__(self, "in_patterns", tuple(in_patterns))
         object.__setattr__(self, "out_patterns", tuple(out_patterns))
         object.__setattr__(self, "predicate", predicate)
-        object.__setattr__(self, "emit", emit)
-        object.__setattr__(self, "cost", cost)
 
     def __setattr__(self, *a):
         raise AttributeError("AtomicSpec is immutable")

@@ -23,7 +23,8 @@ from .base import Allocate, Spec
 class Kernel(PickleBySlots):
     """A complete, launchable Graphene kernel."""
 
-    __slots__ = ("name", "grid", "block", "params", "body", "symbols")
+    __slots__ = ("name", "grid", "block", "params", "body", "symbols",
+                 "__weakref__")
 
     def __init__(
         self,

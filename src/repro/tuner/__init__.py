@@ -200,8 +200,9 @@ def tune(
                     key, k=TRANSFER_NEIGHBOURS):
                 try:
                     seeds.append(space.candidate_from_params(entry["params"]))
-                except (KeyError, TypeError, ValueError):
-                    continue  # stale entry from an older space revision
+                except (AttributeError, KeyError, TypeError, ValueError):
+                    # Malformed, or stale from an older space revision.
+                    cache_obj.count_invalid()
 
         # Imported here so that importing repro does not load
         # multiprocessing for programs that never tune.

@@ -235,7 +235,12 @@ class TuningCache:
         stats = self._data["stats"]
         stats["hits"] -= 1
         stats["misses"] += 1
-        stats["invalid"] += 1
+        self.count_invalid()
+
+    def count_invalid(self) -> None:
+        """Count one malformed entry in :attr:`invalid`; a transfer
+        neighbour that cannot seed a search is counted here alone."""
+        self._data["stats"]["invalid"] += 1
         self._dirty = True
 
     def put(self, key: str, entry: Dict) -> None:
@@ -288,7 +293,7 @@ class TuningCache:
     @property
     def invalid(self) -> int:
         """Entries found malformed or foreign to their space (see
-        :meth:`reject`)."""
+        :meth:`reject` and :meth:`count_invalid`)."""
         return self._data["stats"]["invalid"]
 
     @property

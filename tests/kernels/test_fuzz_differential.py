@@ -13,8 +13,11 @@ expression — and replays from the printed seed.
 The default tier runs one trial per family; ``-m slow`` sweeps more.
 """
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.arch import AMPERE
 from repro.codegen import CudaGenerator
@@ -27,9 +30,13 @@ from repro.kernels.mlp import build_fused_mlp
 from repro.kernels import (
     LayernormConfig, NaiveGemmConfig, SoftmaxConfig, build,
 )
+from repro.layout import Layout
+from repro.layout.linear import LinearLayoutError, to_linear
 from repro.library import funcs
-from repro.sim import RunOptions, Simulator, index_compiler
+from repro.sim import RunOptions, Simulator, access
 from repro.sim.sanitizer import verdict
+
+from ..layout.test_algebra import concrete_layouts
 
 
 def _fp16(np_rng, *shape, scale=1.0):
@@ -179,18 +186,32 @@ def test_fuzz_sweep(family, shapes, rng):
         _check(FAMILIES[family], shapes, np_rng)
 
 
-# -- linear (F2) vs expression index-compiler differential ----------------
+# -- linear (F2) vs coordinate-walk offset-table differential -------------
 #
-# The simulator compiles each tensor view's offset table either by
+# The simulator builds each tensor view's offset table either by
 # XOR-accumulating bit-matrix lane vectors (the F2 path, power-of-two
-# views only) or by walking coordinates through the layout algebra.
+# layouts only) or by walking coordinates through the layout algebra.
 # The two paths must be observationally indistinguishable: same output
 # bits, same profiler counters, same sanitizer verdicts.  Non-pow2
-# views must fall back silently rather than fail.
+# views must fall back silently rather than fail.  A forced run patches
+# the one selection function, ``access.linear_form``, so every table
+# walks, and clears the offset-table memo on both sides of the run.
 
 _CASES = {c.name: c for c in default_cases(seed=0)}
 #: Tier-1 runs a representative subset; -m slow sweeps the corpus.
 _LINEAR_FAST = ["gemm_ampere_swizzled", "softmax", "fmha"]
+
+
+@contextmanager
+def _walk_only(monkeypatch):
+    """Every offset table built inside the block walks coordinates."""
+    access.relative_offsets.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(access, "linear_form", lambda layout: None)
+            yield
+    finally:
+        access.relative_offsets.cache_clear()
 
 
 def _profile_signature(profile):
@@ -202,81 +223,95 @@ def _profile_signature(profile):
     )
 
 
-def _observe(case, mode):
+def _observe(case):
     arrays = {k: np.array(v, copy=True) for k, v in case.arrays.items()}
-    with index_compiler(mode):
-        run = Simulator(case.arch).run(
-            case.kernel, arrays, symbols=case.symbols,
-            options=RunOptions(sanitize="report", profile=True))
+    run = Simulator(case.arch).run(
+        case.kernel, arrays, symbols=case.symbols,
+        options=RunOptions(sanitize="report", profile=True))
     return arrays, run
 
 
-def _linear_differential(name):
+def _linear_differential(name, monkeypatch):
     case = _CASES[name]
-    expr_arrays, expr_run = _observe(case, "expression")
-    auto_arrays, auto_run = _observe(case, "auto")
-    for key in expr_arrays:
+    with _walk_only(monkeypatch):
+        walk_arrays, walk_run = _observe(case)
+    auto_arrays, auto_run = _observe(case)
+    for key in walk_arrays:
         np.testing.assert_array_equal(
-            expr_arrays[key].view(np.uint8), auto_arrays[key].view(np.uint8),
-            err_msg=f"index-compiler paths disagree on {key!r} in {name}")
-    assert _profile_signature(expr_run.profile) == \
+            walk_arrays[key].view(np.uint8), auto_arrays[key].view(np.uint8),
+            err_msg=f"offset-table paths disagree on {key!r} in {name}")
+    assert _profile_signature(walk_run.profile) == \
         _profile_signature(auto_run.profile), \
-        f"profiler counters differ between index-compiler paths in {name}"
-    assert verdict(expr_run.sanitizer) == verdict(auto_run.sanitizer), \
-        f"sanitizer verdicts differ between index-compiler paths in {name}"
+        f"profiler counters differ between offset-table paths in {name}"
+    assert verdict(walk_run.sanitizer) == verdict(auto_run.sanitizer), \
+        f"sanitizer verdicts differ between offset-table paths in {name}"
 
 
 @pytest.mark.parametrize("name", _LINEAR_FAST)
-def test_linear_path_differential_fast(name):
-    """F2 vs expression paths bit-identical on key conformance cases."""
-    _linear_differential(name)
+def test_linear_path_differential_fast(name, monkeypatch):
+    """F2 vs coordinate-walk paths bit-identical on key conformance
+    cases."""
+    _linear_differential(name, monkeypatch)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize(
     "name", [n for n in sorted(_CASES) if n not in _LINEAR_FAST])
-def test_linear_path_differential_corpus(name):
+def test_linear_path_differential_corpus(name, monkeypatch):
     """The rest of the conformance corpus (run with -m slow)."""
-    _linear_differential(name)
+    _linear_differential(name, monkeypatch)
 
 
 def test_linear_path_taken_and_fallback():
-    """Pow2 views compile via the F2 path; non-pow2 views fall back."""
-    from repro.layout import Layout
-    from repro.sim.access import TensorAccessor
-    from repro.tensor.dtypes import FP16
-    from repro.tensor.memspace import GL
-    from repro.tensor.tensor import Tensor
+    """Pow2 layouts compile via the F2 path; non-pow2 and small ones
+    walk; both give the raw layout's offsets, memoized by value."""
+    pow2 = Layout((16, 32), (32, 1))
+    ragged = Layout((6, 10), (10, 1))
+    small = Layout(4, 1)
+    assert access.linear_form(pow2) is not None
+    assert access.linear_form(ragged) is None
+    assert access.linear_form(small) is None
+    for layout in (pow2, ragged, small):
+        table = access.relative_offsets(layout)
+        assert table.dtype == np.int64 and not table.flags.writeable
+        assert table.tolist() == list(layout.offsets())
+        equal = Layout(layout.shape, layout.stride)
+        assert access.relative_offsets(equal) is table
 
-    pow2 = Tensor("a", Layout((16, 32), (32, 1)), FP16, GL)
-    ragged = Tensor("b", Layout((6, 10), (10, 1)), FP16, GL)
-    with index_compiler("auto"):
-        assert TensorAccessor(pow2).compiled_via == "linear"
-        assert TensorAccessor(ragged).compiled_via == "expression"
-        # Both enumerate the same physical offsets as the raw layout.
-        for t in (pow2, ragged):
-            acc = TensorAccessor(t)
-            assert acc.offsets({}) == list(t.layout.offsets())
-    with index_compiler("expression"):
-        assert TensorAccessor(pow2).compiled_via == "expression"
+
+@settings(max_examples=200, deadline=None)
+@given(concrete_layouts())
+def test_offset_table_memo_and_f2_agree(layout):
+    """For random plain layouts the memoized table equals a fresh one,
+    and the F2 form, wherever it represents the layout, equals the
+    coordinate walk."""
+    table = access.relative_offsets(layout)
+    np.testing.assert_array_equal(
+        table, access.relative_offsets.__wrapped__(layout))
+    walk = access.walk_offsets(layout)
+    np.testing.assert_array_equal(table, walk)
+    try:
+        lin = to_linear(layout)
+    except LinearLayoutError:
+        return
+    np.testing.assert_array_equal(lin.apply_to_range(layout.size()), walk)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_linear_path_differential_fuzz(family, shapes, rng):
+def test_linear_path_differential_fuzz(family, shapes, rng, monkeypatch):
     """One random valid shape per family, simulated under both
-    index-compiler paths; outputs must be bit-identical even when some
+    offset-table paths; outputs must be bit-identical even when some
     drawn dimensions are non-pow2 (those views fall back per-view)."""
     import random
     shape_seed = rng.randrange(2 ** 31)
     data_seed = rng.randrange(2 ** 31)
     sampler = type(shapes)
-    with index_compiler("expression"):
-        got_expr, _, _ = FAMILIES[family](
+    with _walk_only(monkeypatch):
+        got_walk, _, _ = FAMILIES[family](
             sampler(random.Random(shape_seed)),
             np.random.default_rng(data_seed))
-    with index_compiler("auto"):
-        got_auto, _, _ = FAMILIES[family](
-            sampler(random.Random(shape_seed)),
-            np.random.default_rng(data_seed))
-    np.testing.assert_array_equal(got_expr.view(np.uint8),
+    got_auto, _, _ = FAMILIES[family](
+        sampler(random.Random(shape_seed)),
+        np.random.default_rng(data_seed))
+    np.testing.assert_array_equal(got_walk.view(np.uint8),
                                   got_auto.view(np.uint8))

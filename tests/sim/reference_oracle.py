@@ -42,16 +42,93 @@ from repro.specs.base import (
     UnaryPointwise,
 )
 from repro.specs.kernel import Kernel
-from repro.sim.access import accessor, compile_expr, tile_views
+from repro.sim.access import (
+    compile_expr, guard_coords, tile_views, walk_offsets,
+)
 from repro.sim.errors import SimulationError
 from repro.sim.interp import RunResult, bind_launch
 from repro.sim.machine import Machine
 from repro.sim.options import RunOptions
 from repro.sim.profiler import Profiler
 from repro.sim.sanitizer import Sanitizer
-from repro.tensor.tensor import Tensor
+from repro.tensor.memspace import RF
+from repro.tensor.tensor import Tensor, Tile
 
 Predicate = Tuple[Callable[[dict], int], Callable[[dict], int]]
+
+
+# -- per-lane element enumeration ------------------------------------------------------
+class Accessor:
+    """Element enumeration of one tensor view, one lane at a time.
+
+    ``offsets(env)`` returns the physical (post-swizzle) element offsets
+    of the view's elements in colexicographic coordinate order;
+    ``mask(env)`` returns per-element validity under the view's guards.
+    Offsets come from the coordinate walk, so every comparison with the
+    plan engine also checks its F2 offset tables.
+    """
+
+    __slots__ = ("tensor", "_base", "_rel", "_guards")
+
+    def __init__(self, tensor: Tensor):
+        if isinstance(tensor.element, Tile):
+            raise TypeError(
+                f"cannot build an element accessor for tiled tensor "
+                f"{tensor!r}; index a tile first")
+        self.tensor = tensor
+        self._base = compile_expr(tensor.offset)
+        self._rel = walk_offsets(tensor.layout).tolist()
+        shape = tensor.layout.shape
+        self._guards = [
+            (compile_expr(guard.origin), compile_expr(guard.extent),
+             guard_coords(shape, dim).tolist())
+            for dim, guard in enumerate(tensor.guards or ())
+            if guard is not None
+        ]
+
+    def offsets(self, env: dict) -> List[int]:
+        base = self._base(env)
+        sw = self.tensor.swizzle
+        if sw.is_identity():
+            return [base + r for r in self._rel]
+        return [sw(base + r) for r in self._rel]
+
+    def mask(self, env: dict) -> Optional[List[bool]]:
+        """Validity of each element, or None when unguarded."""
+        if not self._guards:
+            return None
+        valid = [True] * len(self._rel)
+        for origin, extent, dim_coords in self._guards:
+            base = origin(env)
+            limit = extent(env)
+            for i, c in enumerate(dim_coords):
+                if base + c >= limit:
+                    valid[i] = False
+        return valid
+
+
+class ViewTables:
+    """One run's accessors and tile views, keyed by view identity.
+
+    Each entry holds its view, so no key is recycled while the tables
+    live; a simulator starts fresh tables on every run.
+    """
+
+    def __init__(self):
+        self._accessors: Dict[int, Accessor] = {}
+        self._tiles: Dict[int, Tuple[Tensor, List[Tensor]]] = {}
+
+    def accessor(self, tensor: Tensor) -> Accessor:
+        acc = self._accessors.get(id(tensor))
+        if acc is None or acc.tensor is not tensor:
+            acc = self._accessors[id(tensor)] = Accessor(tensor)
+        return acc
+
+    def tiles(self, tensor: Tensor) -> List[Tensor]:
+        entry = self._tiles.get(id(tensor))
+        if entry is None or entry[0] is not tensor:
+            entry = self._tiles[id(tensor)] = (tensor, tile_views(tensor))
+        return entry[1]
 
 
 # -- execution context ---------------------------------------------------------------
@@ -66,12 +143,13 @@ class ExecCtx:
     ``lane_records`` in arrival order.
     """
 
-    __slots__ = ("machine", "sanitizer", "profiler", "block_id", "env",
-                 "lanes", "preds", "lane_records")
+    __slots__ = ("machine", "views", "sanitizer", "profiler", "block_id",
+                 "env", "lanes", "preds", "lane_records")
 
     def __init__(
         self,
         machine: Machine,
+        views: ViewTables,
         sanitizer: Optional[Sanitizer],
         profiler: Optional[Profiler],
         block_id: int,
@@ -80,6 +158,7 @@ class ExecCtx:
         preds: Sequence[Predicate] = (),
     ):
         self.machine = machine
+        self.views = views
         self.sanitizer = sanitizer
         self.profiler = profiler
         self.block_id = block_id
@@ -99,10 +178,14 @@ class ExecCtx:
 
     # -- tensor element transfer ---------------------------------------------
     def _buffer(self, tensor: Tensor, lane: int, min_size: int) -> np.ndarray:
-        return self.machine.buffer(
-            tensor.mem, tensor.buffer, tensor.dtype, self.block_id, lane,
-            min_size,
-        )
+        machine = self.machine
+        if tensor.mem == RF:
+            # Registers are per thread: (block, lane, name), grown lazily.
+            return machine._scoped(
+                machine._regs, (self.block_id, lane, tensor.buffer),
+                tensor.buffer, tensor.dtype, min_size)
+        return machine.buffer(tensor.mem, tensor.buffer, tensor.dtype,
+                              self.block_id, min_size)
 
     def _observe(self, tensor: Tensor, lane: int, live, kind: str) -> None:
         if self.sanitizer is not None:
@@ -121,7 +204,7 @@ class ExecCtx:
         an ordinary read, but the profiler accounts it in the dedicated
         bulk counters instead of the per-lane load path.
         """
-        acc = accessor(tensor)
+        acc = self.views.accessor(tensor)
         offsets = acc.offsets(env)
         mask = acc.mask(env)
         if self.sanitizer is not None or self.profiler is not None:
@@ -146,7 +229,7 @@ class ExecCtx:
         first.  ``bulk`` routes the profiler accounting to the TMA bulk
         counters.
         """
-        acc = accessor(tensor)
+        acc = self.views.accessor(tensor)
         offsets = acc.offsets(env)
         mask = acc.mask(env)
         kind = "bulk_write" if bulk else "write"
@@ -174,13 +257,13 @@ class ExecCtx:
         Handles one level of tiling: values of tile 0 first, then tile 1,
         matching the register numbering of mma/ldmatrix fragments.
         """
-        parts = [self.read(v, env, lane) for v in tile_views(tensor)]
+        parts = [self.read(v, env, lane) for v in self.views.tiles(tensor)]
         return np.concatenate(parts) if len(parts) > 1 else parts[0]
 
     def write_frag(self, tensor: Tensor, env: dict, lane: int, values) -> None:
         values = np.asarray(values).reshape(-1)
         pos = 0
-        for view in tile_views(tensor):
+        for view in self.views.tiles(tensor):
             n = view.layout.size() if view.rank else 1
             self.write(view, env, lane, values[pos:pos + n])
             pos += n
@@ -239,7 +322,7 @@ def make_exec_ldmatrix(sem: "ptx.LdmatrixSemantics") -> Callable:
                 env = ctx.lane_env(lane)
                 rows.append(ctx.read(src, env, lane).reshape(8))
             matrices.append(np.stack(rows))
-        dst_tiles = tile_views(dst)
+        dst_tiles = ctx.views.tiles(dst)
         if len(dst_tiles) != num_matrices:
             raise ValueError(
                 f"ldmatrix.x{num_matrices} destination must have "
@@ -465,6 +548,7 @@ class ReferenceSimulator:
         self._loop_cache: Dict[int, tuple] = {}
         self._pred_cache: Dict[int, tuple] = {}
         self._atomic_cache: Dict[int, tuple] = {}
+        self._views = ViewTables()
 
     def run(
         self,
@@ -482,13 +566,14 @@ class ReferenceSimulator:
             sanitize = opts.sanitize
         if profile is None:
             profile = opts.profile
-        # Compiled-closure caches key on id(stmt); scoping them to one
-        # run keeps a recycled id from a garbage-collected kernel from
+        # Compiled-closure caches and view tables key on id(); scoping
+        # them to one run keeps a recycled id from a garbage-collected kernel from
         # resurrecting a stale closure (ids are unique only among live
         # objects, and kernels stay alive for the duration of a run).
         self._loop_cache.clear()
         self._pred_cache.clear()
         self._atomic_cache.clear()
+        self._views = ViewTables()
         machine = Machine()
         self.sanitizer = Sanitizer() if sanitize else None
         self.profiler = Profiler() if profile else None
@@ -636,8 +721,8 @@ class ReferenceSimulator:
             if sanitizer is not None:
                 sanitizer.enter_spec(label)
         for lanes in self._lane_groups(spec, nthreads):
-            ctx = ExecCtx(machine, sanitizer, profiler, bid, env, lanes,
-                          preds)
+            ctx = ExecCtx(machine, self._views, sanitizer, profiler, bid,
+                          env, lanes, preds)
             if profiler is not None:
                 profiler.begin_exec(label, atomic.name, atomic.width, lanes)
                 try:

@@ -151,6 +151,22 @@ class TestOneEngine:
             assert name not in repro.sim.__all__
             assert not hasattr(repro.sim, name)
 
+    def test_no_global_index_state(self):
+        """Offset tables are values and compiled views belong to their
+        plan: no switch selects an index compiler, and no process-global
+        accessor or tile-view cache is exported."""
+        import repro.sim
+        from repro.sim import access
+
+        for name in ("TensorAccessor", "accessor", "clear_accessor_caches",
+                     "get_index_compiler", "set_index_compiler",
+                     "index_compiler", "tile_views"):
+            assert name not in repro.sim.__all__
+            assert not hasattr(repro.sim, name)
+        for name in ("TensorAccessor", "accessor", "clear_accessor_caches",
+                     "index_compiler", "_ACCESSOR_CACHE", "_TILE_VIEWS"):
+            assert not hasattr(access, name)
+
     def test_src_never_imports_tests(self):
         src = pathlib.Path(repro.__file__).resolve().parent
         pattern = re.compile(r"^\s*(?:from|import)\s+tests\b", re.M)

@@ -3,9 +3,11 @@
 A parameter annotated ``x: float = None`` lies about its type — the
 default makes it ``Optional[float]``.  One slipped into the eval layer
 once (``fmha_seconds``); this sweep keeps the class of bug out.  The
-shared-memory bank rule is kept in one module.
+shared-memory bank rule is kept in one module, and the simulator keeps
+no process-global cache keyed by ``id()``.
 """
 
+import ast
 import pathlib
 import re
 
@@ -53,4 +55,65 @@ def test_bank_rule_lives_in_sim_banks():
     assert not offenders, (
         "bank indexing outside repro/sim/banks.py (call "
         "banks.wavefront_degree instead):\n" + "\n".join(offenders)
+    )
+
+
+def _is_id_call(node) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "id")
+
+
+def _id_key_names(tree) -> set:
+    """Names bound to an ``id(...)`` anywhere in the module."""
+    return {
+        target.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and _is_id_call(node.value)
+        for target in node.targets if isinstance(target, ast.Name)
+    }
+
+
+def test_no_identity_keyed_module_dicts_in_sim():
+    """No module-level table under ``repro/sim`` is keyed by ``id(``.
+
+    An ``id()`` is unique only among live objects, so such a table must
+    keep its keys alive, and at module level it then grows for the life
+    of the process.  Tables owned by an object (a launch plan's view
+    table) live as long as their owner and are fine.
+    """
+    offenders = []
+    for path in sorted((SRC / "repro" / "sim").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        module_names = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            module_names |= {t.id for t in targets if isinstance(t, ast.Name)}
+        id_names = _id_key_names(tree)
+
+        def is_id_key(key):
+            return _is_id_call(key) or (isinstance(key, ast.Name)
+                                        and key.id in id_names)
+
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Subscript):
+                table, keys = node.value, [node.slice]
+            elif isinstance(node, ast.Call) and \
+                    isinstance(node.func, ast.Attribute):
+                table, keys = node.func.value, node.args[:1]
+            elif isinstance(node, ast.Compare):
+                table, keys = node.comparators[-1], [node.left]
+            else:
+                continue
+            if (isinstance(table, ast.Name) and table.id in module_names
+                    and any(is_id_key(k) for k in keys)):
+                offenders.append(f"{path.relative_to(SRC)}:{node.lineno}: "
+                                 f"{table.id}")
+    assert not offenders, (
+        "module-level tables keyed by id() under repro/sim:\n"
+        + "\n".join(offenders)
     )

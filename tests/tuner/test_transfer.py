@@ -176,3 +176,26 @@ class TestTuneTransfer:
                       top_k=1, transfer=True)
         assert not result.transferred
         assert result.gate_results[0].passed
+
+    @pytest.mark.parametrize("params", ["not a dict", None])
+    def test_malformed_neighbour_counted_invalid(self, tiny_space, params):
+        """A neighbour whose params cannot seed a search counts once in
+        ``TuningCache.invalid``; hits and misses move only for the
+        tune's own lookup, and the tune still gates a winner."""
+        cache = TuningCache(None)
+        anchor = tune("gemm", {"m": 256, "n": 256, "k": 128}, ARCH,
+                      space=tiny_space, cache=cache, search="exhaustive",
+                      top_k=1)
+        entry = cache.get(anchor.cache_key)
+        entry["params"] = params
+        cache.put(anchor.cache_key, entry)
+        before = cache.stats
+        result = tune("gemm", {"m": 512, "n": 256, "k": 128}, ARCH,
+                      space=tiny_space, cache=cache, search="exhaustive",
+                      top_k=1, transfer=True)
+        after = cache.stats
+        assert after["invalid"] == before["invalid"] + 1
+        assert after["hits"] == before["hits"]
+        assert after["misses"] == before["misses"] + 1
+        assert not result.transferred
+        assert result.gate_results and result.gate_results[0].passed
