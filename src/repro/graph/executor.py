@@ -1,9 +1,11 @@
 """End-to-end network execution on the simulator.
 
-The executor takes a :class:`~repro.graph.lower.LoweredNetwork`,
-allocates one numpy buffer per storage edge (alias chains share), and
-runs every group's kernel launches in dependency order on the
-:class:`~repro.sim.Simulator`'s vectorized plan engine.
+The executor takes a :class:`~repro.graph.lower.LoweredNetwork` and
+runs every group's kernel launches in dependency order inside the
+lowering's *static arena*: one numpy array per storage edge (alias
+chains share) and per scratch buffer, allocated on the first run, with
+every launch bound once to views of them — the CUDA-graph static-input
+idiom.
 
 Two guarantees distinguish this from the modelled Figure 15 path:
 
@@ -15,24 +17,36 @@ Two guarantees distinguish this from the modelled Figure 15 path:
   the roofline, not from the static library cost table, so the
   reported per-role seconds describe the kernels that actually ran.
 
-A launch's counters depend only on its addresses and control flow,
-which the lowering fixes and no shipped kernel lets tensor data steer.
-So each launch is profiled once per lowering: the first execution runs
-it with the profiler attached and memoizes its seconds on
-:attr:`LoweredNetwork.measured_seconds`; later executions run it with
-the profiler off and reuse that float, exactly.
+A launch's counters, control flow, row sets and index arrays depend
+only on its addresses, which the lowering fixes and no shipped kernel
+lets tensor data steer.  So the first execution of a lowering compiles
+each launch's :class:`~repro.sim.plan.LaunchPlan`, runs it with the
+profiler attached, memoizes its seconds on
+:attr:`LoweredNetwork.measured_seconds` and, in that same run, records
+its :class:`~repro.sim.trace.PlanTrace` straight over the arena.  A
+later run with no observers is copy-in → one trace replay per launch →
+group checks → copy-out: no plan walk, no launch binding, no plan
+cache.  A run with ``sanitize`` or ``profile`` set replays the plans
+with those observers attached.  Runs of one lowering share its arena,
+so they take turns on :attr:`LoweredNetwork.lock`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..perfmodel import PerfModel, count_kernel
-from ..sim import RunOptions, Simulator
-from .lower import GroupLowering, Launch, LoweredNetwork
+from ..sim import RunOptions
+from ..sim.interp import bind_launch
+from ..sim.machine import Machine
+from ..sim.plan import PlanCache
+from ..sim.profiler import Profiler
+from ..sim.sanitizer import Sanitizer
+from ..sim.trace import record_trace
+from .lower import Launch, LoweredNetwork
 
 _DTYPES = {"fp16": np.float16, "fp32": np.float32}
 
@@ -89,7 +103,10 @@ class NetworkRun:
 
 def _seed_inputs(lowered: LoweredNetwork, bindings: Optional[Dict],
                  seed: int) -> Dict[str, np.ndarray]:
-    """User bindings for graph inputs, deterministic fill for the rest."""
+    """User bindings for graph inputs, deterministic fill for the rest.
+
+    The caller's arrays come back as they are: the arena copies them in.
+    """
     graph = lowered.graph
     rng = np.random.default_rng(seed)
     out: Dict[str, np.ndarray] = {}
@@ -115,7 +132,7 @@ def _seed_inputs(lowered: LoweredNetwork, bindings: Optional[Dict],
                     f"binding for {edge!r} has shape {arr.shape}, "
                     f"expected {tuple(spec.shape)}"
                 )
-            out[edge] = arr.copy()
+            out[edge] = arr
         else:
             out[edge] = (rng.random(spec.shape) - 0.5).astype(dtype)
     return out
@@ -135,6 +152,85 @@ def _measured_seconds(launch: Launch, profile, model: PerfModel,
     return est.total_seconds
 
 
+class _BoundLaunch:
+    """One launch bound to arena views, and its recorded trace."""
+
+    __slots__ = ("launch", "arrays", "symbols", "trace")
+
+    def __init__(self, launch: Launch, arrays: Dict[str, np.ndarray]):
+        self.launch = launch
+        self.arrays = arrays
+        self.symbols = dict(launch.symbols or {})
+        self.trace = None
+
+    def run_plan(self, plans: PlanCache, arch, sanitize, profile):
+        """Replay the plan with observers; the first call records the trace.
+
+        Returns the launch's measured profile (None without a profiler).
+        """
+        kernel = self.launch.kernel
+        machine = Machine()
+        sanitizer = Sanitizer() if sanitize else None
+        profiler = Profiler() if profile else None
+        bind_launch(kernel, self.arrays, self.symbols, machine, sanitizer)
+        plan = plans.lookup(kernel, arch, self.symbols, self.arrays)
+        if self.trace is None:
+            self.trace = record_trace(plan, machine, self.symbols,
+                                      sanitizer, profiler)
+        else:
+            plan.replay(machine, self.symbols, sanitizer, profiler)
+        if sanitizer is not None and sanitize != "report":
+            sanitizer.raise_if_dirty()
+        if profiler is None:
+            return None
+        return profiler.finish(kernel.name, kernel.grid_size(),
+                               kernel.block_size())
+
+
+class _Arena:
+    """A lowering's static storage and its launches bound into it."""
+
+    def __init__(self, lowered: LoweredNetwork):
+        graph = lowered.graph
+        storage: Dict[str, np.ndarray] = {}
+        for edge in graph.tensors:
+            name = graph.storage(edge)
+            if name not in storage:
+                spec = graph.edge(name)
+                storage[name] = np.zeros(spec.shape, _DTYPES[spec.dtype])
+        for gl in lowered.groups:
+            for name, (shape, dtype) in gl.scratch.items():
+                storage[name] = np.zeros(shape, _DTYPES[dtype])
+        self.storage = storage
+        #: Every edge and scratch name -> the array it lives in.
+        self.arrays = {edge: storage[graph.storage(edge)]
+                       for edge in graph.tensors}
+        self.arrays.update((name, storage[name]) for gl in lowered.groups
+                           for name in gl.scratch)
+        self.launches: List[_BoundLaunch] = []
+        for launch in lowered.launches:
+            views = {}
+            for param, bref in launch.bindings.items():
+                arr = self.arrays[bref.buffer]
+                if bref.rows is not None:
+                    arr = arr[bref.rows[0]:bref.rows[1]]
+                views[param] = arr
+            self.launches.append(_BoundLaunch(launch, views))
+
+    def load(self, inputs: Dict[str, np.ndarray]) -> None:
+        """Copy ``inputs`` in and zero every other array.
+
+        Nothing may leak between runs: the naive GEMMs accumulate onto
+        their outputs, and scratch starts zeroed like a fresh buffer.
+        """
+        for name, arr in self.storage.items():
+            given = inputs.get(name)
+            if given is None:
+                arr.fill(0)
+            else:
+                arr[...] = given
+
+
 def execute(lowered: LoweredNetwork, *, bindings: Optional[Dict] = None,
             options: Optional[RunOptions] = None, check: bool = True,
             seed: int = 0) -> NetworkRun:
@@ -144,62 +240,48 @@ def execute(lowered: LoweredNetwork, *, bindings: Optional[Dict] = None,
     first group whose executed output is not bit-identical to its numpy
     reference.
     """
+    inputs = _seed_inputs(lowered, bindings, seed)
+    options = options or RunOptions()
+    with lowered.lock:
+        if lowered.arena is None:
+            lowered.arena = _Arena(lowered)
+        return _execute(lowered, lowered.arena, inputs, options, check)
+
+
+def _execute(lowered: LoweredNetwork, arena: _Arena,
+             inputs: Dict[str, np.ndarray], options: RunOptions,
+             check: bool) -> NetworkRun:
     graph = lowered.graph
     arch = lowered.arch
-    sim = Simulator(arch)
     model = PerfModel(arch)
-    options = options or RunOptions()
-    profiled = replace(options, profile=True)
-    replayed = replace(options, profile=False)
+    observed = bool(options.sanitize) or bool(options.profile)
     memo = lowered.measured_seconds
+    arrays = arena.arrays
+    arena.load(inputs)
+    plans = None
     index = 0
-
-    # One buffer per storage edge; alias edges resolve onto it.
-    buffers: Dict[str, np.ndarray] = {}
-    inputs = _seed_inputs(lowered, bindings, seed)
-    for edge, spec in graph.tensors.items():
-        storage = graph.storage(edge)
-        if storage in buffers:
-            continue
-        if storage in inputs:
-            buffers[storage] = inputs[storage]
-        else:
-            sspec = graph.edge(storage)
-            buffers[storage] = np.zeros(sspec.shape, _DTYPES[sspec.dtype])
-
-    def array_for(name: str) -> np.ndarray:
-        if name in buffers:
-            return buffers[name]
-        return buffers[graph.storage(name)]
-
     results: List[GroupResult] = []
     role_seconds: Dict[str, float] = {}
     for gl in lowered.groups:
-        # Scratch is group-local and zero-initialized per execution
-        # (the naive GEMMs accumulate onto their output buffers).
-        for name, (shape, dtype) in gl.scratch.items():
-            buffers[name] = np.zeros(shape, _DTYPES[dtype])
-
         if check:
-            snapshot = {e: array_for(e).copy() for e in gl.group.inputs}
+            snapshot = {e: arrays[e].copy() for e in gl.group.inputs}
 
         measured = 0.0
         roles: List[str] = []
         for launch in gl.launches:
-            run_bindings = {}
-            for param, bref in launch.bindings.items():
-                arr = array_for(bref.buffer)
-                if bref.rows is not None:
-                    arr = arr[bref.rows[0]:bref.rows[1]]
-                run_bindings[param] = arr
+            bound = arena.launches[index]
             seconds = memo.get(index)
-            result = sim.run(launch.kernel, run_bindings,
-                             symbols=launch.symbols,
-                             options=profiled if seconds is None
-                             else replayed)
-            if seconds is None:
-                seconds = memo[index] = _measured_seconds(
-                    launch, result.profile, model, arch)
+            if seconds is None or observed or bound.trace is None:
+                if plans is None:
+                    # Plans live for one run: a trace needs none of them.
+                    plans = PlanCache(maxsize=len(arena.launches))
+                profile = bound.run_plan(plans, arch, options.sanitize,
+                                         seconds is None or options.profile)
+                if seconds is None:
+                    seconds = memo[index] = _measured_seconds(
+                        launch, profile, model, arch)
+            else:
+                bound.trace.replay()
             index += 1
             measured += seconds
             role_seconds[launch.role] = (
@@ -211,7 +293,7 @@ def execute(lowered: LoweredNetwork, *, bindings: Optional[Dict] = None,
         if check:
             expected = gl.reference(snapshot)
             for edge, want in expected.items():
-                got = array_for(edge)
+                got = arrays[edge]
                 if not np.array_equal(got, want):
                     passed = False
                     err = np.abs(got.astype(np.float32)
@@ -231,10 +313,7 @@ def execute(lowered: LoweredNetwork, *, bindings: Optional[Dict] = None,
                 f"network {graph.name!r}"
             )
 
-        for name in gl.scratch:
-            del buffers[name]
-
-    outputs = {e: array_for(e).copy() for e in graph.outputs}
+    outputs = {e: arrays[e].copy() for e in graph.outputs}
     return NetworkRun(
         network=graph.name, arch=arch.name, attribution="executed",
         groups=results, outputs=outputs, role_seconds=role_seconds,

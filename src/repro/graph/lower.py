@@ -17,8 +17,9 @@ gate (:func:`repro.tuner.tune`) over a reduced-shape space.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -94,6 +95,15 @@ class LoweredNetwork:
     #: Launch index (in :attr:`launches` order) -> roofline seconds from
     #: that launch's measured profile, filled by the first execution.
     measured_seconds: Dict[int, float] = field(default_factory=dict)
+    #: The static storage every execution runs in: one array per
+    #: storage edge and scratch buffer, the launches bound to views of
+    #: them, and their recorded traces.  Allocated by the first
+    #: execution (:mod:`repro.graph.executor`).
+    arena: Optional[object] = field(default=None, init=False, repr=False,
+                                    compare=False)
+    #: Executions share the arena, so they take turns.
+    lock: Any = field(default_factory=threading.Lock, init=False,
+                      repr=False, compare=False)
 
     @property
     def launches(self) -> List[Launch]:

@@ -308,21 +308,26 @@ class Network:
 
     def run(self, bindings: Optional[Dict] = None, options=None, *,
             check: bool = True, seed: int = 0):
-        """Execute end-to-end on the simulator's vectorized plan engine.
+        """Execute end-to-end on the simulator.
 
         ``bindings`` maps graph-input edge names to numpy arrays
-        (missing inputs are seeded deterministically from ``seed``);
-        ``options`` is a :class:`repro.sim.RunOptions`.  With ``check``
-        every fusion group is verified bit-exactly against its numpy
-        reference.  Lowers with defaults on first use.
+        (missing inputs are seeded deterministically from ``seed``; the
+        caller's arrays are never mutated); ``options`` is a
+        :class:`repro.sim.RunOptions`.  With ``check`` every fusion
+        group is verified bit-exactly against its numpy reference.
+        Lowers with defaults on first use.
 
-        The first run of a lowering profiles every launch and memoizes
-        its measured seconds; later runs execute with the profiler off
-        and reuse those seconds.  This is exact, not an approximation:
-        the counters depend only on addresses and control flow, which
-        the lowering fixes and the tensor data never steers.  Group
-        checks and any requested sanitizer still run on every pass;
-        calling :meth:`lower` again starts a fresh memo.
+        The first run of a lowering runs every launch's compiled plan
+        with the profiler attached, memoizes its measured seconds and
+        records its execution trace.  Later runs copy the inputs into
+        the lowering's static arena and replay those traces, reusing
+        the seconds.  This is exact, not an approximation: counters,
+        control flow and index arrays depend only on addresses, which
+        the lowering fixes and the tensor data never steers.  A run
+        with ``options.sanitize`` or ``options.profile`` replays the
+        plans with those observers instead.  Group checks run on every
+        pass; runs of one lowering take turns; calling :meth:`lower`
+        again drops the arena, traces and memo.
         """
         from .executor import execute
 

@@ -129,6 +129,7 @@ class ViewPlan:
         self.is_sh = tensor.mem == SH
         self.is_rf = tensor.mem == RF
         self.lane_arr = np.asarray(lanes, dtype=np.int64)
+        self.lane_arr.setflags(write=False)
         self._base, self._rel, self._guards, self._key_vars = compiled
         sw = tensor.swizzle
         self._swizzle = None if sw.is_identity() else sw
@@ -449,6 +450,14 @@ class _SpecPlan:
             for lanes in _lane_groups(spec, plan.nthreads)
         ]
         self.runner, self.aux = _select_runner(spec, atomic)
+
+    def clear_view_caches(self) -> None:
+        """Drop every view's cached index arrays (they rebuild on use)."""
+        for gp in self.groups:
+            for group in (gp, gp._lead):
+                if group is not None:
+                    for vp in group._views.values():
+                        vp._cache.clear()
 
 
 # -- vectorized runners --------------------------------------------------------
@@ -811,7 +820,10 @@ class _Replay:
                 sp.runner(self, sp, gp, env, preds)
             return
         atomic = sp.atomic
+        trace = self._trace
         for gp in sp.groups:
+            if trace is not None:
+                trace.begin_leaf(sp, gp)
             pending = self._pending = []
             sp.runner(self, sp, gp, env, preds)
             self._pending = None
@@ -826,14 +838,14 @@ class _Replay:
                     prof.end_exec()
 
     # -- bulk element transfer -------------------------------------------------
-    def read_bulk(self, vp, env, rows, fill=0, bulk=False):
+    def read_bulk(self, vp, env, rows, bulk=False):
         """Gather ``rows`` lanes' view elements; returns (values, entry).
 
         The returned emission entry carries the raw offsets/mask for
         the observer feed; buffer growth, zero-substitution of masked
-        offsets and fill values all match the per-lane reference read
-        (``tests/sim/reference_oracle.py``) exactly, ``bulk`` included
-        (TMA traffic, profiled as bulk).
+        offsets and the zero a masked-out lane reads all match the
+        per-lane reference read (``tests/sim/reference_oracle.py``)
+        exactly, ``bulk`` included (TMA traffic, profiled as bulk).
         """
         offs, mask = vp.offsets_mask(env)
         take_all = rows is self._aranges.get(offs.shape[0])
@@ -857,10 +869,10 @@ class _Replay:
             )
             values = buf[offs_eff]
         if mask_sel is not None:
-            values = np.where(mask_sel, values, fill).astype(buf.dtype)
+            values = np.where(mask_sel, values, 0).astype(buf.dtype)
         if self._trace is not None:
             self._trace.on_read(vp, offs_eff, mask_sel,
-                                lane_ids if vp.is_rf else None, fill)
+                                lane_ids if vp.is_rf else None)
         return values, (vp.tensor, "bulk_read" if bulk else "read",
                         offs_sel, mask_sel, rows)
 
@@ -1164,8 +1176,15 @@ class LaunchPlan:
         return _SpecNode(_SpecPlan(spec, self))
 
     # -- replay ----------------------------------------------------------------
-    def replay(self, machine, symbols, sanitizer, profiler) -> None:
-        """Run the plan over the grid, one block after another."""
+    def replay(self, machine, symbols, sanitizer, profiler,
+               recorder=None) -> None:
+        """Run the plan over the grid, one block after another.
+
+        ``recorder`` (a :mod:`repro.sim.trace` recorder) sees every
+        resolved leaf execution and the end of every block, and takes
+        the block's staged register files as they are: a recorded run
+        leaves no per-thread registers in ``machine``.
+        """
         for bid in range(self.grid_size):
             if sanitizer is not None:
                 sanitizer.begin_block(bid)
@@ -1174,8 +1193,12 @@ class LaunchPlan:
             env = dict(symbols)
             env["blockIdx.x"] = bid
             run = _Replay(self, machine, sanitizer, profiler, bid)
+            run._trace = recorder
             self.root.execute(run, env, ())
-            run.regfile.flush()
+            if recorder is None:
+                run.regfile.flush()
+            else:
+                recorder.end_block(run)
             machine.tma_check_drained(bid)
 
 

@@ -107,6 +107,16 @@ def _is_number(value) -> bool:
         and math.isfinite(value)
 
 
+def _knob_types(params: Dict):
+    """Each knob's name and value type (tuples element by element)."""
+    def kind(value):
+        if isinstance(value, tuple):
+            return tuple(kind(v) for v in value)
+        return type(value)
+
+    return {name: kind(value) for name, value in params.items()}
+
+
 def _cached_winner(space: ConfigSpace, shape: Dict[str, int],
                    arch: Architecture, entry) -> Optional[tuple]:
     """``(winner, score_us, launches)`` of a well-formed cache entry whose
@@ -196,13 +206,26 @@ def tune(
 
         seeds: List[Candidate] = []
         if transfer and cache_obj is not None:
+            # A neighbour must name the default's knobs with values of
+            # the same types (a shape with no default checks nothing).
+            try:
+                knobs = _knob_types(space.default(shape, architecture).params)
+            except ValueError:
+                knobs = None
             for _nkey, entry, _distance in cache_obj.nearest_entries(
                     key, k=TRANSFER_NEIGHBOURS):
                 try:
-                    seeds.append(space.candidate_from_params(entry["params"]))
+                    seed_candidate = space.candidate_from_params(
+                        entry["params"])
                 except (AttributeError, KeyError, TypeError, ValueError):
+                    seed_candidate = None
+                if seed_candidate is None or (
+                        knobs is not None
+                        and knobs != _knob_types(seed_candidate.params)):
                     # Malformed, or stale from an older space revision.
                     cache_obj.count_invalid()
+                else:
+                    seeds.append(seed_candidate)
 
         # Imported here so that importing repro does not load
         # multiprocessing for programs that never tune.

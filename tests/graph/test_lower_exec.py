@@ -8,6 +8,10 @@ full-attention computation, closing the chain
 ``kernel == mirror ≈ full attention``.
 """
 
+import gc
+import threading
+import weakref
+
 import numpy as np
 import pytest
 
@@ -15,9 +19,12 @@ from repro.graph import (
     DECODE_SCENARIO, REDUCED_NETWORKS, GraphError, lower_network, network,
 )
 from repro.graph.reference import cache_append_ref, decode_fmha_ref
-from repro.sim import RunOptions
+from repro.sim import RunOptions, Simulator
+from repro.sim import plan as sim_plan
+from repro.sim.plan import LaunchPlan
 from repro.sim.profiler import Profiler
 from repro.sim.sanitizer import Sanitizer
+from repro.sim.trace import PlanTrace
 
 pytestmark = pytest.mark.graph
 
@@ -30,6 +37,20 @@ COST_PIN_GRAPHS = [
     else pytest.param(name, marks=pytest.mark.slow)
     for name in ALL_GRAPHS
 ]
+
+
+def _assert_same_run(warm, cold):
+    """A warm run equals a fresh lowering's first run bit for bit."""
+    assert warm.passed and cold.passed
+    assert warm.outputs.keys() == cold.outputs.keys()
+    for edge, want in cold.outputs.items():
+        assert warm.outputs[edge].tobytes() == want.tobytes(), edge
+    assert ([g.max_abs_error for g in warm.groups]
+            == [g.max_abs_error for g in cold.groups])
+    assert ([g.measured_seconds for g in warm.groups]
+            == [g.measured_seconds for g in cold.groups])
+    assert warm.role_seconds == cold.role_seconds
+    assert warm.seconds == cold.seconds
 
 
 class TestExecutedBitExact:
@@ -45,18 +66,14 @@ class TestExecutedBitExact:
         assert run.seconds > 0
         assert all(arr.dtype == np.float16 for arr in run.outputs.values())
 
-        # The second run reuses the first run's profiled seconds; they
-        # must equal what a fresh lowering measures on the new data.
+        # The second run replays the first run's traces and reuses its
+        # profiled seconds; both must equal what a fresh lowering's
+        # plan-path run computes and measures on the new data.
         warm = net.run(seed=1)
+        assert all(g.max_abs_error == 0.0 for g in warm.groups)
         fresh = network(name)
         fresh.lower("ampere", mode="auto")
-        cold = fresh.run(seed=1)
-        assert warm.passed
-        assert all(g.max_abs_error == 0.0 for g in warm.groups)
-        assert ([g.measured_seconds for g in warm.groups]
-                == [g.measured_seconds for g in cold.groups])
-        assert warm.role_seconds == cold.role_seconds
-        assert warm.seconds == cold.seconds
+        _assert_same_run(warm, fresh.run(seed=1))
 
     @pytest.mark.parametrize("name", ["DistilBERT", DECODE_SCENARIO.name])
     def test_unfused_mode_groups_match_numpy(self, name):
@@ -65,6 +82,11 @@ class TestExecutedBitExact:
         run = net.run(seed=1)
         assert run.passed
         assert all(g.mode == "unfused" for g in run.groups)
+
+        warm = net.run(seed=2)
+        fresh = network(name)
+        fresh.lower("ampere", mode="unfused")
+        _assert_same_run(warm, fresh.run(seed=2))
 
     def test_fused_and_unfused_agree_to_fp16_tolerance(self):
         # Each lowering is bit-exact vs its *own* mirror; the two float
@@ -232,3 +254,72 @@ class TestProfileOncePerLowering:
         run = net.run(options=RunOptions(sanitize=True), seed=2)
         assert run.passed
         assert calls == {"finish": 0, "sanitized": launches}
+
+
+class TestWarmTraceReplay:
+    """Warm observers-off runs replay each launch's recorded trace over
+    the lowering's static arena, and nothing else of the engine."""
+
+    @staticmethod
+    def _count(monkeypatch, owner, attr, calls, key):
+        original = getattr(owner, attr)
+
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+
+    def test_warm_run_replays_traces_only(self, monkeypatch):
+        net = network("DistilBERT")
+        launches = len(net.lower("ampere").launches)
+        net.run(seed=0)
+        calls = dict.fromkeys(
+            ["compile", "fingerprint", "sim_run", "plan_replay",
+             "trace_replay"], 0)
+        self._count(monkeypatch, LaunchPlan, "__init__", calls, "compile")
+        self._count(monkeypatch, sim_plan, "kernel_fingerprint", calls,
+                    "fingerprint")
+        self._count(monkeypatch, Simulator, "run", calls, "sim_run")
+        self._count(monkeypatch, LaunchPlan, "replay", calls, "plan_replay")
+        self._count(monkeypatch, PlanTrace, "replay", calls, "trace_replay")
+        assert net.run(seed=1).passed
+        assert calls == {"compile": 0, "fingerprint": 0, "sim_run": 0,
+                         "plan_replay": 0, "trace_replay": launches}
+
+    def test_relower_frees_arena_and_traces(self):
+        net = network("DistilBERT")
+        lowered = net.lower("ampere")
+        net.run(seed=0)
+        arena = lowered.arena
+        refs = [weakref.ref(arr) for arr in arena.storage.values()]
+        refs += [weakref.ref(bound.trace) for bound in arena.launches]
+        del arena, lowered
+        net.lower("ampere")
+        gc.collect()
+        assert refs and all(ref() is None for ref in refs)
+        assert net.run(seed=0).passed
+
+    def test_concurrent_runs_match_solo_runs(self):
+        net = network("DistilBERT")
+        net.lower("ampere")
+        solo = {seed: net.run(seed=seed) for seed in (1, 2)}
+        got, errors = {}, []
+
+        def worker(seed):
+            try:
+                for _ in range(3):
+                    got.setdefault(seed, []).append(net.run(seed=seed))
+            except BaseException as exc:  # surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(seed,))
+                   for seed in solo]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not errors
+        for seed, runs in got.items():
+            for run in runs:
+                _assert_same_run(run, solo[seed])

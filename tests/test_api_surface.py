@@ -174,3 +174,60 @@ class TestOneEngine:
                      for path in sorted(src.rglob("*.py"))
                      if pattern.search(path.read_text())]
         assert not offenders, offenders
+
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+
+class TestBenchmarkSpans:
+    """The traced benchmark times each layer by patching its public
+    functions where callers look them up (``perfbench/layers.py``);
+    every one of those names must stay where it is patched."""
+
+    @pytest.fixture
+    def layers(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import layers
+
+        return layers
+
+    def test_patched_names_exist(self, layers):
+        from repro.graph import executor
+        from repro.serve import graph as serve_graph
+        from repro.sim.interp import Simulator
+        from repro.sim.plan import LaunchPlan, PlanCache
+        from repro.sim.trace import PlanTrace
+
+        for owner, attr in [
+            (executor, "execute"), (executor, "count_kernel"),
+            (serve_graph, "record_trace"), (PlanTrace, "replay"),
+            (LaunchPlan, "replay"), (PlanCache, "lookup"),
+            (Simulator, "run"), (serve_graph.CapturedGraph, "capture"),
+            (serve_graph.CapturedGraph, "replay"),
+        ]:
+            assert callable(getattr(owner, attr)), (owner, attr)
+
+    def test_tracing_enters_and_restores(self, layers):
+        from repro.sim.trace import PlanTrace
+
+        import spans
+
+        original = PlanTrace.__dict__["replay"]
+        with layers.Tracing(spans.Recorder()):
+            assert PlanTrace.__dict__["replay"] is not original
+        assert PlanTrace.__dict__["replay"] is original
+
+    def test_warm_network_runs_show_as_trace_replay(self, layers):
+        """A warm run's time lands in the ``sim.trace.replay`` span."""
+        import spans
+
+        net = repro.network("DistilBERT")
+        launches = len(net.lower("ampere").launches)
+        net.run(seed=0)
+        recorder = spans.Recorder()
+        with layers.Tracing(recorder):
+            assert net.run(seed=1).passed
+        stats = recorder.stats()
+        assert stats["sim.trace.replay"]["calls"] == launches
+        for span in ("sim.run", "sim.replay", "sim.plan_cache.lookup"):
+            assert span not in stats, span

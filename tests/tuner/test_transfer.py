@@ -177,7 +177,12 @@ class TestTuneTransfer:
         assert not result.transferred
         assert result.gate_results[0].passed
 
-    @pytest.mark.parametrize("params", ["not a dict", None])
+    @pytest.mark.parametrize("params", [
+        "not a dict", None,
+        pytest.param({"no_such_knob": 7}, id="unknown knob"),
+        pytest.param({"block_tile": "not a tile", "warp_grid": [2, 2],
+                      "swizzle": False, "stages": 1}, id="mistyped knob"),
+    ])
     def test_malformed_neighbour_counted_invalid(self, tiny_space, params):
         """A neighbour whose params cannot seed a search counts once in
         ``TuningCache.invalid``; hits and misses move only for the
