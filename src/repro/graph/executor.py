@@ -17,18 +17,20 @@ Two guarantees distinguish this from the modelled Figure 15 path:
   the roofline, not from the static library cost table, so the
   reported per-role seconds describe the kernels that actually ran.
 
-A launch's counters, control flow, row sets and index arrays depend
-only on its addresses, which the lowering fixes and no shipped kernel
-lets tensor data steer.  So the first execution of a lowering compiles
-each launch's :class:`~repro.sim.plan.LaunchPlan`, runs it with the
-profiler attached, memoizes its seconds on
-:attr:`LoweredNetwork.measured_seconds` and, in that same run, records
-its :class:`~repro.sim.trace.PlanTrace` straight over the arena.  A
-later run with no observers is copy-in → one trace replay per launch →
-group checks → copy-out: no plan walk, no launch binding, no plan
-cache.  A run with ``sanitize`` or ``profile`` set replays the plans
-with those observers attached.  Runs of one lowering share its arena,
-so they take turns on :attr:`LoweredNetwork.lock`.
+A launch's counters, timeline, sanitizer verdict, control flow, row
+sets and index arrays depend only on its addresses, which the lowering
+fixes and no shipped kernel lets tensor data steer.  So the arena binds
+each launch once as a :class:`~repro.sim.trace.RecordedLaunch`.  The
+first execution of a lowering runs each launch's plan with the profiler
+attached, records its :class:`~repro.sim.trace.PlanTrace` straight
+over the arena in that same run, and keeps the launch's roofline
+seconds from the held profile.  Every later run is copy-in → one trace
+replay per launch → group checks → copy-out: no plan walk, no launch
+binding, no profiler.  Each group's result carries its launches' held
+profiles, and with ``sanitize`` set their held sanitizer findings; the
+first run that asks for a sanitizer measures it with one plan replay
+per launch.  Runs of one lowering share its arena, so they take turns
+on :attr:`LoweredNetwork.lock`.
 """
 
 from __future__ import annotations
@@ -40,12 +42,9 @@ import numpy as np
 
 from ..perfmodel import PerfModel, count_kernel
 from ..sim import RunOptions
-from ..sim.interp import bind_launch
-from ..sim.machine import Machine
-from ..sim.plan import PlanCache
-from ..sim.profiler import Profiler
+from ..sim.profiler import KernelProfile
 from ..sim.sanitizer import Sanitizer
-from ..sim.trace import record_trace
+from ..sim.trace import RecordedLaunch
 from .lower import Launch, LoweredNetwork
 
 _DTYPES = {"fp16": np.float16, "fp32": np.float32}
@@ -72,6 +71,10 @@ class GroupResult:
     passed: bool
     #: Worst absolute fp32 deviation vs the reference (0.0 when exact).
     max_abs_error: float = 0.0
+    #: Each launch's profile, held from the lowering's first run.
+    profiles: List[KernelProfile] = field(default_factory=list)
+    #: Each launch's held sanitizer findings, when the run sanitized.
+    findings: Optional[List[Sanitizer]] = None
 
 
 @dataclass
@@ -152,41 +155,6 @@ def _measured_seconds(launch: Launch, profile, model: PerfModel,
     return est.total_seconds
 
 
-class _BoundLaunch:
-    """One launch bound to arena views, and its recorded trace."""
-
-    __slots__ = ("launch", "arrays", "symbols", "trace")
-
-    def __init__(self, launch: Launch, arrays: Dict[str, np.ndarray]):
-        self.launch = launch
-        self.arrays = arrays
-        self.symbols = dict(launch.symbols or {})
-        self.trace = None
-
-    def run_plan(self, plans: PlanCache, arch, sanitize, profile):
-        """Replay the plan with observers; the first call records the trace.
-
-        Returns the launch's measured profile (None without a profiler).
-        """
-        kernel = self.launch.kernel
-        machine = Machine()
-        sanitizer = Sanitizer() if sanitize else None
-        profiler = Profiler() if profile else None
-        bind_launch(kernel, self.arrays, self.symbols, machine, sanitizer)
-        plan = plans.lookup(kernel, arch, self.symbols, self.arrays)
-        if self.trace is None:
-            self.trace = record_trace(plan, machine, self.symbols,
-                                      sanitizer, profiler)
-        else:
-            plan.replay(machine, self.symbols, sanitizer, profiler)
-        if sanitizer is not None and sanitize != "report":
-            sanitizer.raise_if_dirty()
-        if profiler is None:
-            return None
-        return profiler.finish(kernel.name, kernel.grid_size(),
-                               kernel.block_size())
-
-
 class _Arena:
     """A lowering's static storage and its launches bound into it."""
 
@@ -207,7 +175,7 @@ class _Arena:
                        for edge in graph.tensors}
         self.arrays.update((name, storage[name]) for gl in lowered.groups
                            for name in gl.scratch)
-        self.launches: List[_BoundLaunch] = []
+        self.launches: List[RecordedLaunch] = []
         for launch in lowered.launches:
             views = {}
             for param, bref in launch.bindings.items():
@@ -215,7 +183,10 @@ class _Arena:
                 if bref.rows is not None:
                     arr = arr[bref.rows[0]:bref.rows[1]]
                 views[param] = arr
-            self.launches.append(_BoundLaunch(launch, views))
+            self.launches.append(RecordedLaunch(
+                launch.kernel, lowered.arch, views, launch.symbols))
+        #: Each launch's roofline seconds from its held profile.
+        self.seconds: List[Optional[float]] = [None] * len(self.launches)
 
     def load(self, inputs: Dict[str, np.ndarray]) -> None:
         """Copy ``inputs`` in and zero every other array.
@@ -254,11 +225,8 @@ def _execute(lowered: LoweredNetwork, arena: _Arena,
     graph = lowered.graph
     arch = lowered.arch
     model = PerfModel(arch)
-    observed = bool(options.sanitize) or bool(options.profile)
-    memo = lowered.measured_seconds
     arrays = arena.arrays
     arena.load(inputs)
-    plans = None
     index = 0
     results: List[GroupResult] = []
     role_seconds: Dict[str, float] = {}
@@ -268,21 +236,18 @@ def _execute(lowered: LoweredNetwork, arena: _Arena,
 
         measured = 0.0
         roles: List[str] = []
+        profiles: List[KernelProfile] = []
+        findings = [] if options.sanitize else None
         for launch in gl.launches:
-            bound = arena.launches[index]
-            seconds = memo.get(index)
-            if seconds is None or observed or bound.trace is None:
-                if plans is None:
-                    # Plans live for one run: a trace needs none of them.
-                    plans = PlanCache(maxsize=len(arena.launches))
-                profile = bound.run_plan(plans, arch, options.sanitize,
-                                         seconds is None or options.profile)
-                if seconds is None:
-                    seconds = memo[index] = _measured_seconds(
-                        launch, profile, model, arch)
-            else:
-                bound.trace.replay()
+            run = arena.launches[index].run(options.sanitize, profile=True)
+            seconds = arena.seconds[index]
+            if seconds is None:
+                seconds = arena.seconds[index] = _measured_seconds(
+                    launch, run.profile, model, arch)
             index += 1
+            profiles.append(run.profile)
+            if findings is not None:
+                findings.append(run.sanitizer)
             measured += seconds
             role_seconds[launch.role] = (
                 role_seconds.get(launch.role, 0.0) + seconds)
@@ -303,7 +268,8 @@ def _execute(lowered: LoweredNetwork, arena: _Arena,
             name=gl.name, kind=gl.group.kind, mode=gl.mode, roles=roles,
             launches=len(gl.launches), measured_seconds=measured,
             modelled_seconds=gl.modelled_seconds, checked=check,
-            passed=passed, max_abs_error=max_err,
+            passed=passed, max_abs_error=max_err, profiles=profiles,
+            findings=findings,
         )
         results.append(result_row)
         if check and not passed:

@@ -92,12 +92,10 @@ class LoweredNetwork:
     groups: List[GroupLowering]
     #: GEMM shape -> winning tuner candidate label (when ``tune=True``).
     tuned: Dict[str, str] = field(default_factory=dict)
-    #: Launch index (in :attr:`launches` order) -> roofline seconds from
-    #: that launch's measured profile, filled by the first execution.
-    measured_seconds: Dict[int, float] = field(default_factory=dict)
     #: The static storage every execution runs in: one array per
-    #: storage edge and scratch buffer, the launches bound to views of
-    #: them, and their recorded traces.  Allocated by the first
+    #: storage edge and scratch buffer, and one recorded launch per
+    #: launch, bound to views of them, with its trace, its held
+    #: observations and its roofline seconds.  Allocated by the first
     #: execution (:mod:`repro.graph.executor`).
     arena: Optional[object] = field(default=None, init=False, repr=False,
                                     compare=False)

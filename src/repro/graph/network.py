@@ -318,16 +318,21 @@ class Network:
         Lowers with defaults on first use.
 
         The first run of a lowering runs every launch's compiled plan
-        with the profiler attached, memoizes its measured seconds and
-        records its execution trace.  Later runs copy the inputs into
-        the lowering's static arena and replay those traces, reusing
-        the seconds.  This is exact, not an approximation: counters,
-        control flow and index arrays depend only on addresses, which
-        the lowering fixes and the tensor data never steers.  A run
-        with ``options.sanitize`` or ``options.profile`` replays the
-        plans with those observers instead.  Group checks run on every
-        pass; runs of one lowering take turns; calling :meth:`lower`
-        again drops the arena, traces and memo.
+        with the profiler attached, records its execution trace and
+        holds its profile and roofline seconds.  Later runs copy the
+        inputs into the lowering's static arena and replay those
+        traces.  This is exact, not an approximation: counters,
+        timeline, sanitizer verdict, control flow and index arrays
+        depend only on addresses, which the lowering fixes and the
+        tensor data never steers.  So every run's groups carry the
+        held per-launch ``profiles`` (``options.profile`` adds
+        nothing), and a run with ``options.sanitize`` carries each
+        launch's held sanitizer ``findings``: the first such run
+        measures them with one plan replay per launch, later ones
+        replay traces, and ``sanitize=True`` raises the held reports
+        every time.  Group checks run on every pass; runs of one
+        lowering take turns; calling :meth:`lower` again drops the
+        arena, its traces and its observations.
         """
         from .executor import execute
 

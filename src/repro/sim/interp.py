@@ -67,8 +67,8 @@ class RunResult:
 def bind_launch(kernel, bindings, symbols, machine, sanitizer=None):
     """Set up one launch: check symbols, bind params, declare allocations.
 
-    The launch-setup contract shared by ``Simulator.run`` and the serve
-    layer's graph capture (:mod:`repro.serve.graph`): every kernel
+    The launch-setup contract shared by ``Simulator.run`` and recorded
+    launches (:class:`repro.sim.trace.RecordedLaunch`): every kernel
     symbol must be bound, every binding must name a parameter and match
     its dtype and extent, every parameter tensor gets its numpy array
     bound as a global buffer, and every ``Allocate`` in the body gets

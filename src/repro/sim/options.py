@@ -4,6 +4,9 @@
 the serve layer all take one :class:`RunOptions` value.
 ``Simulator.run`` and ``CapturedGraph.replay`` also accept
 ``sanitize=``/``profile=`` keywords that override it by name.
+``Simulator.run`` observes every launch it runs; captured graphs and
+lowered networks hold each launch's observations from one measurement
+(:class:`~repro.sim.trace.RecordedLaunch`).
 """
 
 from __future__ import annotations

@@ -40,8 +40,8 @@ descriptors *are* the arrays the plan engine computed, consumed in the
 same order, and growth-by-zero-fill semantics make the pre-sized trace
 storage indistinguishable from lazily grown buffers.
 
-Every plan records a trace.  Traces carry no observer stream, so
-sanitized/profiled replays must use the exact plan path.
+Every plan records a trace.  A trace carries no observer stream: a
+:class:`RecordedLaunch` holds what its plan replays observed instead.
 """
 
 from __future__ import annotations
@@ -51,6 +51,11 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .errors import SimulationError
+from .interp import RunResult, bind_launch
+from .machine import Machine
+from .plan import LaunchPlan
+from .profiler import Profiler
+from .sanitizer import Sanitizer
 
 #: Immutable empty environment handed to runners during trace replay;
 #: recorded descriptors already bind every env-dependent quantity.
@@ -682,4 +687,76 @@ def record_trace(plan, machine, symbols, sanitizer=None,
     return recorder.finish()
 
 
-__all__ = ["PlanTrace", "record_trace"]
+class RecordedLaunch:
+    """One launch bound once to fixed arrays: its trace, and the
+    observations it holds.
+
+    A launch's profiler counters, timeline and sanitizer verdict are
+    functions of its addresses and control flow, which its signature
+    fixes, so each is measured once.  The first :meth:`run` records the
+    trace with the observers it asks for; the launch keeps the profile
+    and the sanitizer findings (reports and suppressed count, not the
+    shadow state) of every observer it has run with.  A run asking for
+    one it lacks replays the plan once with that observer, on a fresh
+    machine so the trace's block-local storage is never aliased, and
+    drops the plan.  Every other run replays the trace.  Runs overwrite
+    the bound arrays, so callers take turns.  ``record`` is the
+    function the first execution records with.
+    """
+
+    __slots__ = ("kernel", "arch", "arrays", "symbols", "machine", "trace",
+                 "sanitizer", "profile", "_record")
+
+    def __init__(self, kernel, arch, arrays, symbols=None,
+                 record=record_trace):
+        self.kernel = kernel
+        self.arch = arch
+        self.arrays = arrays
+        self.symbols = dict(symbols or {})
+        #: The arrays bound as global buffers, for results; never run on.
+        self.machine = Machine()
+        bind_launch(kernel, arrays, self.symbols, self.machine)
+        self.trace: Optional[PlanTrace] = None
+        self.sanitizer: Optional[Sanitizer] = None
+        self.profile = None
+        self._record = record
+
+    def run(self, sanitize=False, profile=False) -> RunResult:
+        """Execute over the arrays' contents; return the asked-for held
+        observations.  ``sanitize=True`` raises the held reports every
+        time; ``"report"`` returns them."""
+        need_sanitizer = bool(sanitize) and self.sanitizer is None
+        need_profile = bool(profile) and self.profile is None
+        if self.trace is None or need_sanitizer or need_profile:
+            self._execute(need_sanitizer, need_profile)
+        else:
+            self.trace.replay()
+        sanitizer = self.sanitizer if sanitize else None
+        if sanitizer is not None and sanitize != "report":
+            sanitizer.raise_if_dirty()
+        return RunResult(machine=self.machine, sanitizer=sanitizer,
+                         profile=self.profile if profile else None)
+
+    def _execute(self, sanitize: bool, profile: bool) -> None:
+        kernel = self.kernel
+        machine = Machine()
+        sanitizer = Sanitizer() if sanitize else None
+        profiler = Profiler() if profile else None
+        bind_launch(kernel, self.arrays, self.symbols, machine, sanitizer)
+        plan = LaunchPlan(kernel, self.arch)
+        if self.trace is None:
+            self.trace = self._record(plan, machine, self.symbols,
+                                      sanitizer, profiler)
+        else:
+            plan.replay(machine, self.symbols, sanitizer, profiler)
+        if sanitizer is not None:
+            # Keep the verdict, not the shadow state.
+            self.sanitizer = Sanitizer()
+            self.sanitizer.reports = sanitizer.reports
+            self.sanitizer.suppressed = sanitizer.suppressed
+        if profiler is not None:
+            self.profile = profiler.finish(kernel.name, kernel.grid_size(),
+                                           kernel.block_size())
+
+
+__all__ = ["PlanTrace", "RecordedLaunch", "record_trace"]

@@ -20,11 +20,11 @@ from hypothesis import strategies as st
 
 from repro.arch import architecture
 from repro.conformance.harness import default_cases
-from repro.serve import graph as serve_graph
 from repro.serve.graph import CapturedGraph
 from repro.serve.workload import serve_catalog
 from repro.sim import RunOptions, Simulator
 from repro.sim import interp
+from repro.sim import trace as sim_trace
 from repro.sim.profiler import Profiler
 from repro.tensor import GL, RF, SH
 
@@ -348,7 +348,7 @@ def test_serve_catalog_replay_matches_oracle(monkeypatch, family):
     bindings = family.make_bindings(np.random.default_rng(0))
     graph = CapturedGraph.capture(family.kernel, family.arch,
                                   family.symbols, bindings)
-    tees = _teed(monkeypatch, serve_graph)
+    tees = _teed(monkeypatch, sim_trace)
     graph.replay(bindings, profile=True)
     (tee,) = tees
     tee.assert_agree(family.name)
