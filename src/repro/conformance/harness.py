@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,16 +36,13 @@ from ..kernels.gemm_optimized import build_ampere_tc_gemm
 from ..kernels.gemm_parametric import build_parametric_gemm
 from ..kernels.lstm import build_fused_lstm_cell
 from ..kernels.mlp import build_fused_mlp
-from ..kernels.hopper import random_sparse24
-from ..kernels.moves import build_ldmatrix_kernel, ldmatrix_reference
+from ..kernels.moves import build_ldmatrix_kernel
 from ..kernels.config import (
     GemmConfig, HopperFp8GemmConfig, LayernormConfig, NaiveGemmConfig,
     SoftmaxConfig, Sparse24GemmConfig,
 )
 from ..kernels import build
-from ..library import funcs
 from ..sim import RunOptions, Simulator
-from ..tensor.dtypes import FP8E4M3
 
 #: Emulator and simulator share numerics by construction; allow only
 #: fp32 round-off between them.
@@ -61,13 +58,12 @@ class Case:
     kernel: object
     arrays: Dict[str, np.ndarray]
     outputs: Sequence[str]
-    reference: Dict[str, np.ndarray]
-    tol: float
+    #: ``(output, reference, tolerance)`` per checked output.
+    checks: Sequence[Tuple[str, np.ndarray, float]] = ()
     arch: object = AMPERE
     symbols: Optional[Dict[str, int]] = None
-    #: Restrict the reference comparison to a slice of the output
-    #: (parametric kernels only define rows < M).
-    ref_region: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    #: The problem-table shape the arrays were drawn at.
+    shape: Dict[str, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -88,11 +84,79 @@ class CaseResult:
         return f"{status:4s}  {self.name:28s}  {detail}"
 
 
-def _fp16(rng, *shape, scale: float = 1.0) -> np.ndarray:
-    return ((rng.random(shape) - 0.5) * scale).astype(np.float16)
-
-
 # -- the case library ---------------------------------------------------------------
+#: ``(name, family, arch, kernel factory, shape)``, in draw order.  The
+#: factory takes the shape as keywords; the arrays come from the
+#: family's problem generator (:mod:`repro.library.problems`).
+_ROWS = (
+    ("gemm_naive", "gemm_naive", AMPERE,
+     lambda m, n, k: build(NaiveGemmConfig(m, n, k, grid=(2, 2),
+                                           threads=(2, 2))),
+     dict(m=16, n=16, k=16)),
+    ("gemm_ampere", "gemm", AMPERE,
+     lambda m, n, k: build_ampere_tc_gemm(m, n, k, block_tile=(32, 16, 16),
+                                          warp_grid=(1, 1)),
+     dict(m=32, n=16, k=16)),
+    ("gemm_ampere_swizzled", "gemm", AMPERE,
+     lambda m, n, k: build(GemmConfig(m=m, n=n, k=k,
+                                      block_tile=(64, 64, 32),
+                                      warp_grid=(2, 2), swizzled=True)),
+     dict(m=64, n=64, k=32)),
+    ("gemm_ampere_pipelined", "gemm", AMPERE,
+     lambda m, n, k: build(GemmConfig(m=m, n=n, k=k,
+                                      block_tile=(32, 16, 16),
+                                      warp_grid=(1, 1),
+                                      variant="ampere_pipelined")),
+     dict(m=32, n=16, k=32)),
+    ("gemm_volta", "gemm", VOLTA,
+     lambda m, n, k: build(GemmConfig(m=m, n=n, k=k,
+                                      block_tile=(32, 32, 16),
+                                      warp_grid=(1, 1), variant="volta",
+                                      qp_tile=(2, 2))),
+     dict(m=32, n=32, k=16)),
+    # Symbolic M = 28 over 64 allocated rows: the guarded rows >= M
+    # must stay zero.
+    ("gemm_parametric", "gemm_parametric", AMPERE,
+     lambda m, n, k, rows: build_parametric_gemm(
+         n=n, k=k, row_tile=8, max_grid_rows=rows // 8, threads=32),
+     dict(m=28, n=32, k=16, rows=64)),
+    ("gemm_epilogue", "gemm_epilogue", AMPERE,
+     lambda m, n, k: build_gemm_epilogue(m, n, k, block_tile=(32, 16, 16),
+                                         warp_grid=(1, 1)),
+     dict(m=32, n=16, k=16)),
+    ("moves_ldmatrix", "moves", AMPERE, build_ldmatrix_kernel, {}),
+    ("layernorm", "layernorm", AMPERE,
+     lambda rows, hidden: build(LayernormConfig(rows, hidden,
+                                                warps_per_block=4)),
+     dict(rows=8, hidden=64)),
+    ("softmax", "softmax", AMPERE,
+     lambda rows, cols: build(SoftmaxConfig(rows, cols,
+                                            threads_per_block=32)),
+     dict(rows=32, cols=16)),
+    ("mlp", "mlp", AMPERE,
+     lambda m, hidden, layers: build_fused_mlp(
+         m, hidden, layers=layers, block_rows=64, warp_grid=(2, 2)),
+     dict(m=64, hidden=64, layers=2)),
+    ("lstm", "lstm", AMPERE,
+     lambda m, n, k: build_fused_lstm_cell(m, n, k, block_tile=(32, 16, 16),
+                                           warp_grid=(1, 1)),
+     dict(m=32, n=16, k=16)),
+    ("fmha", "fmha", AMPERE,
+     lambda batch_heads, seq, head_dim: build_fused_fmha(
+         batch_heads, seq, head_dim, q_tile=16, kv_chunk=16),
+     dict(batch_heads=1, seq=16, head_dim=16)),
+    # Hopper fp8 warpgroup GEMM over pre-quantized e4m3 operands.
+    ("gemm_fp8_hopper", "gemm_fp8", HOPPER,
+     lambda m, n, k: build(HopperFp8GemmConfig(m=m, n=n, k=k, block_k=32)),
+     dict(m=64, n=64, k=64)),
+    # Hopper 2:4 structured-sparse GEMM: compressed A + metadata through
+    # the smem decompress atomic, then the f16 wgmma.
+    ("gemm_sparse24_hopper", "gemm_sparse24", HOPPER,
+     lambda m, n, k: build(Sparse24GemmConfig(m=m, n=n, k=k, block_k=32)),
+     dict(m=64, n=64, k=64)),
+)
+
+
 def default_cases(seed: int = 0) -> List[Case]:
     """One small-shape case per shipped kernel family/variant.
 
@@ -100,203 +164,30 @@ def default_cases(seed: int = 0) -> List[Case]:
     stays tier-1 fast while still covering every emitted construct:
     plain FMA loops, cp.async staging, ldmatrix/mma PTX (Ampere and
     Volta quad-pair), swizzled shared layouts, warp shuffles,
-    predicated tails, and symbolic launch parameters.
+    predicated tails, and symbolic launch parameters.  Every row draws
+    its problem from one shared ``seed``-ed generator, in row order.
     """
+    # Imported on first use: ``import repro.serve`` (which imports this
+    # module) loads no module beyond the ones it needs.
+    from ..library.problems import problem
+
     rng = np.random.default_rng(seed)
     cases: List[Case] = []
-
-    m = n = k = 16
-    a, b = _fp16(rng, m, k), _fp16(rng, k, n)
-    cases.append(Case(
-        name="gemm_naive", family="gemm_naive",
-        kernel=build(NaiveGemmConfig(m, n, k, grid=(2, 2),
-                                     threads=(2, 2))),
-        arrays={"A": a, "B": b, "C": np.zeros((m, n), np.float16)},
-        outputs=["C"], reference={"C": funcs.gemm(a, b)}, tol=0.02,
-    ))
-
-    m, n, k = 32, 16, 16
-    a, b = _fp16(rng, m, k), _fp16(rng, k, n)
-    cases.append(Case(
-        name="gemm_ampere", family="gemm",
-        kernel=build_ampere_tc_gemm(m, n, k, block_tile=(32, 16, 16),
-                                    warp_grid=(1, 1)),
-        arrays={"A": a, "B": b, "C": np.zeros((m, n), np.float16)},
-        outputs=["C"], reference={"C": funcs.gemm(a, b)}, tol=0.02,
-    ))
-
-    m, n, k = 64, 64, 32
-    a, b = _fp16(rng, m, k), _fp16(rng, k, n)
-    cases.append(Case(
-        name="gemm_ampere_swizzled", family="gemm",
-        kernel=build(GemmConfig(m=m, n=n, k=k, block_tile=(64, 64, 32),
-                                warp_grid=(2, 2), swizzled=True)),
-        arrays={"A": a, "B": b, "C": np.zeros((m, n), np.float16)},
-        outputs=["C"], reference={"C": funcs.gemm(a, b)}, tol=0.02,
-    ))
-
-    m, n, k = 32, 16, 32
-    a, b = _fp16(rng, m, k), _fp16(rng, k, n)
-    cases.append(Case(
-        name="gemm_ampere_pipelined", family="gemm",
-        kernel=build(GemmConfig(m=m, n=n, k=k, block_tile=(32, 16, 16),
-                                warp_grid=(1, 1),
-                                variant="ampere_pipelined")),
-        arrays={"A": a, "B": b, "C": np.zeros((m, n), np.float16)},
-        outputs=["C"], reference={"C": funcs.gemm(a, b)}, tol=0.02,
-    ))
-
-    m, n, k = 32, 32, 16
-    a, b = _fp16(rng, m, k), _fp16(rng, k, n)
-    cases.append(Case(
-        name="gemm_volta", family="gemm", arch=VOLTA,
-        kernel=build(GemmConfig(m=m, n=n, k=k, block_tile=(32, 32, 16),
-                                warp_grid=(1, 1), variant="volta",
-                                qp_tile=(2, 2))),
-        arrays={"A": a, "B": b, "C": np.zeros((m, n), np.float16)},
-        outputs=["C"], reference={"C": funcs.gemm(a, b)}, tol=0.02,
-    ))
-
-    n, k, big_m, m_sym = 32, 16, 64, 28
-    a, b = _fp16(rng, big_m, k), _fp16(rng, k, n)
-    cases.append(Case(
-        name="gemm_parametric", family="gemm_parametric",
-        kernel=build_parametric_gemm(n=n, k=k, row_tile=8,
-                                     max_grid_rows=8, threads=32),
-        arrays={"A": a, "B": b,
-                "C": np.zeros((big_m, n), np.float16)},
-        symbols={"M": m_sym},
-        outputs=["C"], reference={"C": funcs.gemm(a[:m_sym], b)},
-        ref_region=lambda arr: arr[:m_sym], tol=0.02,
-    ))
-
-    m, n, k = 32, 16, 16
-    a, b = _fp16(rng, m, k), _fp16(rng, k, n)
-    bias = _fp16(rng, n)
-    cases.append(Case(
-        name="gemm_epilogue", family="gemm_epilogue",
-        kernel=build_gemm_epilogue(m, n, k, block_tile=(32, 16, 16),
-                                   warp_grid=(1, 1)),
-        arrays={"A": a, "B": b, "bias": bias,
-                "C": np.zeros((m, n), np.float16)},
-        outputs=["C"],
-        reference={"C": funcs.gemm_bias_act(a, b, bias, "relu")},
-        tol=0.05,
-    ))
-
-    src = np.arange(256, dtype=np.float16).reshape(16, 16)
-    cases.append(Case(
-        name="moves_ldmatrix", family="moves",
-        kernel=build_ldmatrix_kernel(),
-        arrays={"src": src, "out": np.zeros((32, 8), np.float16)},
-        outputs=["out"], reference={"out": ldmatrix_reference(src)},
-        tol=0.0,
-    ))
-
-    rows, hidden = 8, 64
-    x = _fp16(rng, rows, hidden)
-    gamma = (rng.random(hidden) * 2).astype(np.float16)
-    beta = _fp16(rng, hidden)
-    cases.append(Case(
-        name="layernorm", family="layernorm",
-        kernel=build(LayernormConfig(rows, hidden, warps_per_block=4)),
-        arrays={"X": x, "gamma": gamma, "beta": beta,
-                "Y": np.zeros((rows, hidden), np.float16)},
-        outputs=["Y"], reference={"Y": funcs.layernorm(x, gamma, beta)},
-        tol=0.02,
-    ))
-
-    rows, cols = 32, 16
-    x = _fp16(rng, rows, cols, scale=8.0)
-    cases.append(Case(
-        name="softmax", family="softmax",
-        kernel=build(SoftmaxConfig(rows, cols, threads_per_block=32)),
-        arrays={"X": x, "Y": np.zeros((rows, cols), np.float16)},
-        outputs=["Y"], reference={"Y": funcs.softmax(x)}, tol=0.01,
-    ))
-
-    m, hidden = 64, 64
-    x = _fp16(rng, m, hidden)
-    weights = [_fp16(rng, hidden, hidden) for _ in range(2)]
-    biases = [_fp16(rng, hidden) for _ in range(2)]
-    cases.append(Case(
-        name="mlp", family="mlp",
-        kernel=build_fused_mlp(m, hidden, layers=2, block_rows=64,
-                               warp_grid=(2, 2)),
-        arrays={"X": x, "W0": weights[0], "W1": weights[1],
-                "bias0": biases[0], "bias1": biases[1],
-                "Y": np.zeros((m, hidden), np.float16)},
-        outputs=["Y"],
-        reference={"Y": funcs.mlp(x, weights, biases)}, tol=0.05,
-    ))
-
-    m, n, k = 32, 16, 16
-    x, w = _fp16(rng, m, k), _fp16(rng, k, n)
-    h, r = _fp16(rng, m, k), _fp16(rng, k, n)
-    bias = _fp16(rng, n)
-    cases.append(Case(
-        name="lstm", family="lstm",
-        kernel=build_fused_lstm_cell(m, n, k, block_tile=(32, 16, 16),
-                                     warp_grid=(1, 1)),
-        arrays={"X": x, "W": w, "H": h, "R": r, "bias": bias,
-                "Y": np.zeros((m, n), np.float16)},
-        outputs=["Y"],
-        reference={"Y": funcs.lstm_cell(x, w, h, r, bias)}, tol=0.02,
-    ))
-
-    bh, seq, hd = 1, 16, 16
-    q, kk = _fp16(rng, bh * seq, hd), _fp16(rng, bh * seq, hd)
-    v = _fp16(rng, bh * seq, hd)
-    cases.append(Case(
-        name="fmha", family="fmha",
-        kernel=build_fused_fmha(bh, seq, hd, q_tile=16, kv_chunk=16),
-        arrays={"Q": q, "K": kk, "V": v, "O": np.zeros_like(q)},
-        outputs=["O"],
-        reference={"O": funcs.multi_head_attention(q, kk, v, heads=bh)},
-        tol=0.02,
-    ))
-
-    # Hopper fp8 warpgroup GEMM: inputs are pre-quantized onto the e4m3
-    # grid (fixed points of the round-on-store model), so the TMA stage
-    # preserves them bitwise through the fp8 staging buffers.
-    m = n = k = 64
-    a8 = FP8E4M3.quantize(
-        (rng.random((m, k)).astype(np.float32) - 0.5))
-    b8 = FP8E4M3.quantize(
-        (rng.random((k, n)).astype(np.float32) - 0.5))
-    ref = (a8.astype(np.float64) @ b8.astype(np.float64)
-           ).astype(np.float16)
-    cases.append(Case(
-        name="gemm_fp8_hopper", family="gemm_fp8", arch=HOPPER,
-        kernel=build(HopperFp8GemmConfig(m=m, n=n, k=k, block_k=32)),
-        arrays={"A": a8, "B": b8, "C": np.zeros((m, n), np.float16)},
-        outputs=["C"], reference={"C": ref}, tol=0.05,
-    ))
-
-    # Hopper 2:4 structured-sparse GEMM: compressed A + metadata through
-    # the smem decompress atomic, then the f16 wgmma.
-    m = n = k = 64
-    comp, meta, dense = random_sparse24(rng, m, k)
-    bsp = _fp16(rng, k, n)
-    ref = (dense.astype(np.float64) @ bsp.astype(np.float64)
-           ).astype(np.float16)
-    cases.append(Case(
-        name="gemm_sparse24_hopper", family="gemm_sparse24", arch=HOPPER,
-        kernel=build(Sparse24GemmConfig(m=m, n=n, k=k, block_k=32)),
-        arrays={"A_comp": comp, "A_meta": meta, "B": bsp,
-                "C": np.zeros((m, n), np.float16)},
-        outputs=["C"], reference={"C": ref}, tol=0.05,
-    ))
-
+    for name, family, arch, make_kernel, shape in _ROWS:
+        arrays, checks = problem(family, rng, **shape)
+        kernel = make_kernel(**shape)
+        # A symbolic dimension binds the shape's value of the same name.
+        symbols = {v.name: shape[v.name.lower()] for v in kernel.symbols}
+        cases.append(Case(
+            name=name, family=family, kernel=kernel, arrays=arrays,
+            outputs=[out for out, _, _ in checks], checks=checks,
+            arch=arch, symbols=symbols or None, shape=dict(shape),
+        ))
     return cases
 
 
 #: Families the default case list covers (for coverage assertions).
-FAMILIES = tuple(sorted({
-    "gemm_naive", "gemm", "gemm_parametric", "gemm_epilogue", "moves",
-    "layernorm", "softmax", "mlp", "lstm", "fmha", "gemm_fp8",
-    "gemm_sparse24",
-}))
+FAMILIES = tuple(sorted({family for _, family, _, _, _ in _ROWS}))
 
 
 # -- execution ---------------------------------------------------------------------
@@ -329,22 +220,23 @@ def run_case(case: Case, source: Optional[KernelSource] = None,
                                   f"{type(exc).__name__}: {exc}")
 
     sim_emu_max = 0.0
-    emu_ref_max = 0.0
     for out in case.outputs:
         sim_out = sim_arrays[out].astype(np.float32)
         emu_out = emu_arrays[out].astype(np.float32)
         sim_emu_max = max(sim_emu_max,
                           float(np.abs(sim_out - emu_out).max()))
-        ref = case.reference.get(out)
-        if ref is not None:
-            region = case.ref_region or (lambda x: x)
-            diff = np.abs(region(emu_out) -
-                          np.asarray(ref, np.float32))
-            emu_ref_max = max(emu_ref_max, float(diff.max()))
-    passed = sim_emu_max <= SIM_EMU_ATOL and emu_ref_max <= case.tol
+    # Report the largest reference error with its check's tolerance.
+    emu_ref_max, tol, refs_ok = 0.0, float("nan"), True
+    for out, ref, check_tol in case.checks:
+        err = float(np.abs(emu_arrays[out].astype(np.float32)
+                           - np.asarray(ref, np.float32)).max())
+        refs_ok = refs_ok and err <= check_tol
+        if not err < emu_ref_max:  # a NaN error counts as the worst
+            emu_ref_max, tol = err, check_tol
+    passed = sim_emu_max <= SIM_EMU_ATOL and refs_ok
     return CaseResult(case.name, case.family, passed,
                       sim_emu_max=sim_emu_max, emu_ref_max=emu_ref_max,
-                      tol=case.tol)
+                      tol=tol)
 
 
 def run_all(cases: Optional[Sequence[Case]] = None,
@@ -363,6 +255,7 @@ def format_report(results: Sequence[CaseResult]) -> str:
 
 # -- mutation self-check ------------------------------------------------------------
 _INDEX_STRIDE = re.compile(r"\[([^\[\]\n]*?\* )(\d+)")
+_READ_START = re.compile(r'=|"l"\(&')
 
 
 def mutate_index_stride(source: KernelSource) -> KernelSource:
@@ -375,13 +268,14 @@ def mutate_index_stride(source: KernelSource) -> KernelSource:
     """
     lines = source.code.split("\n")
     for ln, line in enumerate(lines):
-        # Only mutate an index on the right-hand side of an assignment
-        # (a *read*): mutating e.g. a zero-init store into an
-        # already-zero buffer would be an undetectable mutant.
-        eq = line.find("=")
-        if eq < 0:
+        # Only mutate an index that is *read*: on the right-hand side
+        # of an assignment or in an inline-PTX global address operand
+        # (a TMA bulk copy's source).  Mutating e.g. a zero-init store
+        # into an already-zero buffer would be an undetectable mutant.
+        read = _READ_START.search(line)
+        if read is None:
             continue
-        m = _INDEX_STRIDE.search(line, eq + 1)
+        m = _INDEX_STRIDE.search(line, read.end())
         if m is None:
             continue
         stride = int(m.group(2))

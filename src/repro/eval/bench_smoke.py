@@ -27,7 +27,7 @@ import numpy as np
 from ..arch import architecture
 from ..perfmodel import count_kernel, estimate_kernel
 from ..perfmodel.calibrate import (
-    DEFAULT_TOLERANCE, FMHA_SMEM_TOLERANCE, CalibrationRow,
+    DEFAULT_TOLERANCE, FMHA_SMEM_TOLERANCE, _bindings, drift_rows,
 )
 from .report import write_artifact
 
@@ -74,19 +74,7 @@ def run_family(figure: str, arch="ampere", seed: int = 0) -> dict:
     profile = result.profile
     counts = count_kernel(kernel, arch)
     estimate = estimate_kernel(kernel, arch)
-
-    checks = [
-        CalibrationRow(kernel.name, "global_load_bytes",
-                       counts.dram_read_bytes, profile.global_load_bytes,
-                       DEFAULT_TOLERANCE),
-        CalibrationRow(kernel.name, "global_store_bytes",
-                       counts.dram_write_bytes, profile.global_store_bytes,
-                       DEFAULT_TOLERANCE),
-    ]
-    if counts.smem_bytes or profile.shared_bytes:
-        checks.append(CalibrationRow(kernel.name, "shared_bytes",
-                                     counts.smem_bytes,
-                                     profile.shared_bytes, smem_tol))
+    checks = drift_rows(kernel.name, counts, profile, smem_tol)
     return {
         "figure": figure,
         "kernel": kernel.name,
@@ -111,13 +99,7 @@ def _smoke_problem(figure: str, seed: int):
 
     cfg, _ = smoke_families()[figure]
     kernel = build(cfg)
-    rng = np.random.default_rng(seed)
-    bindings = {
-        p.name: (rng.standard_normal(p.layout.size()) * 0.25)
-        .astype(p.dtype.np_dtype)
-        for p in kernel.params
-    }
-    return kernel, bindings
+    return kernel, _bindings(kernel, seed)
 
 
 def _best_time(build, layouts, repeats: int) -> float:

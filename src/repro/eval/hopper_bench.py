@@ -24,8 +24,9 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from ..arch import architecture
+from ..library.problems import problem
 from ..perfmodel import count_kernel, estimate_kernel
-from ..perfmodel.calibrate import DEFAULT_TOLERANCE, CalibrationRow
+from ..perfmodel.calibrate import drift_rows
 from .report import write_artifact
 
 #: Calibration shapes per family: (m, n, k, block_k).
@@ -38,73 +39,30 @@ CALIBRATION_SHAPES = {
 BENCH_SHAPE = (4096, 4096, 2048)
 
 
-def _hopper_problem(family: str, m: int, n: int, k: int, block_k: int,
-                    seed: int):
-    """Build one Hopper family's kernel and valid launch bindings."""
-    from ..kernels.hopper import (
-        build_hopper_fp8_gemm, build_hopper_sparse24_gemm, random_sparse24,
-    )
-    from ..tensor.dtypes import FP8E4M3
-
-    rng = np.random.default_rng(seed)
-    if family == "gemm_fp8":
-        kernel = build_hopper_fp8_gemm(m, n, k, block_k=block_k)
-        a = FP8E4M3.quantize(
-            (rng.random((m, k), dtype=np.float64) - 0.5).astype(np.float32))
-        b = FP8E4M3.quantize(
-            (rng.random((k, n), dtype=np.float64) - 0.5).astype(np.float32))
-        bindings = {"A": a, "B": b, "C": np.zeros((m, n), np.float16)}
-        dense = a
-    elif family == "gemm_sparse24":
-        kernel = build_hopper_sparse24_gemm(m, n, k, block_k=block_k)
-        comp, meta, dense = random_sparse24(rng, m, k)
-        b = (rng.random((k, n)) - 0.5).astype(np.float16)
-        bindings = {"A_comp": comp, "A_meta": meta, "B": b,
-                    "C": np.zeros((m, n), np.float16)}
-    else:
-        raise KeyError(f"unknown hopper bench family {family!r}")
-    reference = (dense.astype(np.float64) @ b.astype(np.float64)
-                 ).astype(np.float16)
-    return kernel, bindings, reference
-
-
 def calibrate_family(family: str, arch, seed: int = 0) -> List[dict]:
     """Profile one family across its calibration shapes.
 
-    Each row compares a measured profiler counter against the static
-    model; global loads fold the TMA bulk counters in, since bulk
-    tensor traffic is DRAM traffic the model charges to reads.
+    Each run draws the family's problem from the problem table, checks
+    the output against its reference, and compares the measured
+    profiler counters against the static model
+    (:func:`repro.perfmodel.calibrate.drift_rows`).
     """
+    from ..kernels import build
+    from ..kernels.config import HopperFp8GemmConfig, Sparse24GemmConfig
     from ..sim import Simulator
 
+    config = {"gemm_fp8": HopperFp8GemmConfig,
+              "gemm_sparse24": Sparse24GemmConfig}[family]
     runs = []
     for m, n, k, block_k in CALIBRATION_SHAPES[family]:
-        kernel, bindings, reference = _hopper_problem(
-            family, m, n, k, block_k, seed)
-        result = Simulator(arch).run(kernel, bindings, profile=True)
-        np.testing.assert_allclose(
-            result.machine.global_array("C").reshape(m, n),
-            reference, atol=0.05,
-        )
-        profile = result.profile
-        counts = count_kernel(kernel, arch)
+        kernel = build(config(m=m, n=n, k=k, block_k=block_k))
+        bindings, references = problem(
+            family, np.random.default_rng(seed), m=m, n=n, k=k)
+        profile = Simulator(arch).run(kernel, bindings, profile=True).profile
+        for out, reference, tol in references:
+            np.testing.assert_allclose(bindings[out], reference, atol=tol)
         issues = profile.issue_counts
-        checks = [
-            CalibrationRow(kernel.name, "global_load_bytes",
-                           counts.dram_read_bytes,
-                           profile.global_load_bytes
-                           + profile.bulk_load_bytes,
-                           DEFAULT_TOLERANCE),
-            # bulk_store_bytes is the *shared-memory* side of the
-            # g2s TMA copies — dedicated accounting, not DRAM stores.
-            CalibrationRow(kernel.name, "global_store_bytes",
-                           counts.dram_write_bytes,
-                           profile.global_store_bytes,
-                           DEFAULT_TOLERANCE),
-            CalibrationRow(kernel.name, "shared_bytes",
-                           counts.smem_bytes, profile.shared_bytes,
-                           DEFAULT_TOLERANCE),
-        ]
+        checks = drift_rows(kernel.name, count_kernel(kernel, arch), profile)
         runs.append({
             "family": family,
             "kernel": kernel.name,

@@ -34,7 +34,7 @@ Documented tolerances (relative drift ``|measured/modelled - 1|``):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -133,12 +133,56 @@ class CalibrationReport:
 
 
 def _bindings(kernel, seed: int = 0) -> Dict[str, np.ndarray]:
+    """Normal draws for every parameter: counters ignore the values."""
     rng = np.random.default_rng(seed)
     return {
         p.name: (rng.standard_normal(p.layout.size()) * 0.25)
         .astype(p.dtype.np_dtype)
         for p in kernel.params
     }
+
+
+def drift_rows(label: str, counts, profile,
+               smem_tolerance: float = DEFAULT_TOLERANCE
+               ) -> List[CalibrationRow]:
+    """Measured-vs-modelled traffic rows of one profiled run.
+
+    Global loads fold the TMA bulk counters in (0 on kernels without
+    TMA): bulk tensor traffic is DRAM traffic the model charges to
+    reads.  ``bulk_store_bytes`` is the *shared-memory* side of those
+    copies, not DRAM stores, so the store row leaves it out.  The
+    shared-bytes row appears whenever either side saw shared traffic.
+    """
+    rows = [
+        CalibrationRow(label, "global_load_bytes", counts.dram_read_bytes,
+                       profile.global_load_bytes + profile.bulk_load_bytes,
+                       DEFAULT_TOLERANCE),
+        CalibrationRow(label, "global_store_bytes", counts.dram_write_bytes,
+                       profile.global_store_bytes, DEFAULT_TOLERANCE),
+    ]
+    if counts.smem_bytes or profile.shared_bytes:
+        rows.append(CalibrationRow(label, "shared_bytes", counts.smem_bytes,
+                                   profile.shared_bytes, smem_tolerance))
+    return rows
+
+
+def _profiled_cases(arch, cases, seed):
+    """Profile each calibration kernel once.
+
+    Yields ``(name, kernel, counts, profile, smem_tolerance,
+    check_conflict_degree)`` per case of ``cases`` (default: every
+    :func:`calibration_cases` entry).
+    """
+    from ..kernels import build
+    from ..sim import Simulator
+
+    for name, cfg, smem_tol, check_conflicts in (
+            cases if cases is not None else calibration_cases()):
+        kernel = build(cfg)
+        profile = Simulator(arch).run(kernel, _bindings(kernel, seed),
+                                      profile=True).profile
+        yield (name, kernel, count_kernel(kernel, arch), profile, smem_tol,
+               check_conflicts)
 
 
 def calibration_cases() -> List[Tuple[str, "KernelConfig", float, bool]]:
@@ -187,34 +231,12 @@ def calibrate(
     seed: int = 0,
 ) -> CalibrationReport:
     """Profile every calibration kernel and compare against the model."""
-    from ..kernels import build
-    from ..sim import Simulator
-
     if isinstance(arch, str):
         arch = architecture(arch)
     report = CalibrationReport(arch=arch.name)
-    for name, cfg, smem_tol, check_conflicts in (
-            cases if cases is not None else calibration_cases()):
-        kernel = build(cfg)
-        result = Simulator(arch).run(kernel, _bindings(kernel, seed),
-                                     profile=True)
-        profile = result.profile
-        counts = count_kernel(kernel, arch)
-        report.rows.append(CalibrationRow(
-            name, "global_load_bytes",
-            counts.dram_read_bytes, profile.global_load_bytes,
-            DEFAULT_TOLERANCE,
-        ))
-        report.rows.append(CalibrationRow(
-            name, "global_store_bytes",
-            counts.dram_write_bytes, profile.global_store_bytes,
-            DEFAULT_TOLERANCE,
-        ))
-        if counts.smem_bytes or profile.shared_bytes:
-            report.rows.append(CalibrationRow(
-                name, "shared_bytes",
-                counts.smem_bytes, profile.shared_bytes, smem_tol,
-            ))
+    for name, kernel, counts, profile, smem_tol, check_conflicts in (
+            _profiled_cases(arch, cases, seed)):
+        report.rows.extend(drift_rows(name, counts, profile, smem_tol))
         static_degree = bank_conflict_degree(kernel)
         if check_conflicts and (static_degree > 1.0
                                 or profile.shared_wavefronts):
@@ -294,9 +316,6 @@ def fit_coefficients(
     is paired with the analytical prediction and the per-resource
     scale is the least-squares slope through the origin.
     """
-    from ..kernels import build
-    from ..sim import Simulator
-
     if isinstance(arch, str):
         arch = architecture(arch)
     dram: List[Tuple[float, float]] = []
@@ -304,13 +323,8 @@ def fit_coefficients(
     conflict: List[Tuple[float, float]] = []
     issues: List[Tuple[float, float]] = []
     sampled = 0
-    for name, cfg, _smem_tol, check_conflicts in (
-            cases if cases is not None else calibration_cases()):
-        kernel = build(cfg)
-        result = Simulator(arch).run(kernel, _bindings(kernel, seed),
-                                     profile=True)
-        profile = result.profile
-        counts = count_kernel(kernel, arch)
+    for _name, kernel, counts, profile, _smem_tol, check_conflicts in (
+            _profiled_cases(arch, cases, seed)):
         sampled += 1
         dram.append((counts.dram_read_bytes + counts.dram_write_bytes,
                      float(profile.global_load_bytes
@@ -423,6 +437,6 @@ def rank_agreement(ranking_a: List[str], ranking_b: List[str]) -> float:
 __all__ = [
     "DEFAULT_TOLERANCE", "FMHA_SMEM_TOLERANCE",
     "CalibrationRow", "CalibrationReport", "FittedCoefficients",
-    "FittedOracle", "calibrate", "calibration_cases", "fit_coefficients",
-    "rank_agreement",
+    "FittedOracle", "calibrate", "calibration_cases", "drift_rows",
+    "fit_coefficients", "rank_agreement",
 ]

@@ -6,8 +6,9 @@ binding factory producing fresh problem instances at the captured
 signature (so every request replays through the same static slots).
 
 ``serve_catalog()`` builds one family per shipped kernel family using
-the conformance harness's case library — the same kernels, shapes and
-references the three-way conformance suite pins.  ``tuned=True``
+the conformance harness's case library — the same kernels and shapes
+the three-way conformance suite pins — and draws requests from the
+family's generator in :mod:`repro.library.problems`.  ``tuned=True``
 rebuilds the tunable families through their ``from_tuned`` entry points
 so the served GEMM is the autotuner's pick (served straight from the
 tuning cache on repeat runs).
@@ -19,7 +20,8 @@ the graph cache honest.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -27,93 +29,47 @@ from ..conformance.harness import FAMILIES, default_cases
 
 
 class ServeFamily:
-    """One servable kernel family: identity plus a problem generator."""
+    """One servable kernel family: identity plus a problem generator.
 
-    __slots__ = ("name", "kernel", "arch", "symbols", "outputs",
-                 "_templates", "_binder")
+    ``draw(rng)`` returns fresh inputs and zeroed outputs at the
+    family's captured shape.
+    """
+
+    __slots__ = ("name", "kernel", "arch", "symbols", "outputs", "_draw")
 
     def __init__(self, name, kernel, arch, symbols, outputs,
-                 templates: Dict[str, np.ndarray], binder=None):
+                 draw: Callable[[np.random.Generator],
+                                Dict[str, np.ndarray]]):
         self.name = name
         self.kernel = kernel
         self.arch = arch
         self.symbols = dict(symbols or {})
         self.outputs = tuple(outputs)
-        self._templates = {
-            k: np.asarray(v) for k, v in templates.items()
-        }
-        self._binder = binder
+        self._draw = draw
 
     def make_bindings(self, rng: np.random.Generator) -> Dict[str, np.ndarray]:
         """Fresh random inputs (and zeroed outputs) at the family shape."""
-        bindings = {}
-        for name, template in self._templates.items():
-            if name in self.outputs:
-                bindings[name] = np.zeros_like(template)
-            elif template.dtype.kind == "f":
-                bindings[name] = (
-                    (rng.random(template.shape) - 0.5).astype(template.dtype)
-                )
-            else:
-                bindings[name] = rng.integers(
-                    0, 8, size=template.shape
-                ).astype(template.dtype)
-        if self._binder is not None:
-            bindings = self._binder(rng, self._templates, bindings)
-        return bindings
+        return self._draw(rng)
 
     def __repr__(self):
         return (f"ServeFamily({self.name}, kernel={self.kernel.name}, "
                 f"outputs={list(self.outputs)})")
 
 
-def _sparse24_binder(rng, templates, bindings):
-    """Structurally valid 2:4 compressed operand + metadata pair.
-
-    Uniform random int32 is not valid sparsity metadata (indices must be
-    ascending pairs in 0..3), so this family regenerates its compressed
-    inputs through the same helper the conformance cases use.
-    """
-    from ..kernels.hopper import random_sparse24
-
-    m, half_k = templates["A_comp"].shape
-    comp, meta, _ = random_sparse24(rng, m, 2 * half_k)
-    bindings["A_comp"] = comp.astype(templates["A_comp"].dtype)
-    bindings["A_meta"] = meta.astype(templates["A_meta"].dtype)
-    return bindings
-
-
-def _fp8_binder(rng, templates, bindings):
-    """Pre-quantize fp8 operands onto the e4m3 grid.
-
-    The fp8 parameters travel as float32 arrays; snapping them to
-    representable fp8 values keeps served problems identical to what
-    round-on-store would produce on hardware.
-    """
-    from ..tensor.dtypes import FP8E4M3
-
-    for name in ("A", "B"):
-        bindings[name] = FP8E4M3.quantize(bindings[name])
-    return bindings
-
-
-#: Families whose random inputs need structure a uniform draw lacks.
-_BINDERS = {
-    "gemm_fp8": _fp8_binder,
-    "gemm_sparse24": _sparse24_binder,
-}
-
-
 def serve_catalog(seed: int = 0, tuned: bool = False,
                   tune_cache=False) -> List[ServeFamily]:
     """One :class:`ServeFamily` per shipped kernel family.
 
+    Each family serves its first conformance case's kernel and draws
+    requests from the family's problem generator at that case's shape.
     ``tuned=True`` swaps tunable families' kernels for their
     ``from_tuned`` builds (``tune_cache`` forwards to
     :func:`repro.tuner.tune` — pass a :class:`~repro.tuner.TuningCache`
     or path to serve straight from a persisted tuning run; the default
     ``False`` keeps tuning in-memory).
     """
+    from ..library.problems import draw
+
     families: List[ServeFamily] = []
     seen = set()
     for case in default_cases(seed=seed):
@@ -129,8 +85,7 @@ def serve_catalog(seed: int = 0, tuned: bool = False,
             arch=case.arch,
             symbols=case.symbols,
             outputs=case.outputs,
-            templates=case.arrays,
-            binder=_BINDERS.get(case.family),
+            draw=partial(draw, case.family, **case.shape),
         ))
     missing = set(FAMILIES) - seen
     if missing:
@@ -149,11 +104,7 @@ def _tuned_kernel(case, tune_cache):
         return None
     from ..kernels import gemm_optimized
 
-    a = case.arrays["A"]
-    b = case.arrays["B"]
-    m, k = a.shape
-    n = b.shape[1]
-    return gemm_optimized.from_tuned(m, n, k, arch=case.arch,
+    return gemm_optimized.from_tuned(**case.shape, arch=case.arch,
                                      cache=tune_cache)
 
 

@@ -6,19 +6,18 @@ conformance family (:data:`repro.conformance.FAMILIES`) is tunable and
 the fleet benchmark's roster sweep covers the whole kernel library.
 Each space follows the same contract: enumerate candidates the
 builder's own validity predicates accept, build IR at any problem
-scale, and pose the small-shape numpy verification problem the
-correctness gate executes (mirroring the conformance harness cases).
+scale, and name the small verification shape at which the correctness
+gate draws the family's problem from :mod:`repro.library.problems`
+(the table the conformance harness draws from too).
 
 Importing this module registers the spaces in
 :data:`repro.tuner.space.SPACES`; :mod:`repro.tuner` imports it at
-package load, so ``get_space`` sees all ten families.
+package load, so ``get_space`` sees all twelve families.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Iterator, Optional, Sequence, Tuple
 
 from ..arch.gpu import Architecture
 from ..kernels.config import (
@@ -29,13 +28,12 @@ from ..kernels.fmha import build_fused_fmha
 from ..kernels.gemm import build as build_naive_gemm
 from ..kernels.gemm_parametric import build_parametric_gemm
 from ..kernels.lstm import build as build_lstm
-from ..kernels.moves import build_ldmatrix_kernel, ldmatrix_reference
+from ..kernels.moves import build_ldmatrix_kernel
 from ..kernels.softmax import build as build_softmax
-from ..library import funcs
 from ..specs.kernel import Kernel
 from .space import (
     MAX_THREADS_PER_BLOCK, REGISTER_BUDGET, Candidate, ConfigSpace,
-    GemmSpace, SPACES, _random_fp16,
+    GemmSpace, SPACES,
 )
 
 
@@ -75,14 +73,6 @@ class SoftmaxSpace(ConfigSpace):
     def verification_shape(self, candidate, shape):
         return {"rows": candidate.params["threads_per_block"],
                 "cols": min(shape["cols"], 32)}
-
-    def verification_problem(self, candidate, vshape, seed):
-        rng = np.random.default_rng(seed)
-        rows, cols = vshape["rows"], vshape["cols"]
-        # Wide-range inputs so the stable max-subtraction path matters.
-        x = ((rng.random((rows, cols)) - 0.5) * 8.0).astype(np.float16)
-        y = np.zeros((rows, cols), dtype=np.float16)
-        return {"X": x, "Y": y}, [("Y", funcs.softmax(x), 0.01)]
 
 
 class LstmSpace(ConfigSpace):
@@ -151,17 +141,6 @@ class LstmSpace(ConfigSpace):
         bm, bn, bk = candidate.params["block_tile"]
         return {"m": bm, "n": bn, "k": 2 * bk}
 
-    def verification_problem(self, candidate, vshape, seed):
-        rng = np.random.default_rng(seed)
-        m, n, k = vshape["m"], vshape["n"], vshape["k"]
-        x, w = _random_fp16(rng, m, k), _random_fp16(rng, k, n)
-        h, r = _random_fp16(rng, m, k), _random_fp16(rng, k, n)
-        bias = _random_fp16(rng, n)
-        y = np.zeros((m, n), dtype=np.float16)
-        ref = funcs.lstm_cell(x, w, h, r, bias)
-        bindings = {"X": x, "W": w, "H": h, "R": r, "bias": bias, "Y": y}
-        return bindings, [("Y", ref, 0.02)]
-
 
 class FmhaSpace(ConfigSpace):
     """Fused multi-head attention: the K/V streaming chunk trades the
@@ -210,17 +189,6 @@ class FmhaSpace(ConfigSpace):
         return {"batch_heads": 1,
                 "seq": min(shape["seq"], 2 * kv_chunk),
                 "head_dim": min(shape["head_dim"], 32)}
-
-    def verification_problem(self, candidate, vshape, seed):
-        rng = np.random.default_rng(seed)
-        bh, seq, hd = (vshape["batch_heads"], vshape["seq"],
-                       vshape["head_dim"])
-        q = _random_fp16(rng, bh * seq, hd)
-        k = _random_fp16(rng, bh * seq, hd)
-        v = _random_fp16(rng, bh * seq, hd)
-        o = np.zeros_like(q)
-        ref = funcs.multi_head_attention(q, k, v, heads=bh)
-        return {"Q": q, "K": k, "V": v, "O": o}, [("O", ref, 0.02)]
 
 
 class NaiveGemmSpace(ConfigSpace):
@@ -286,13 +254,6 @@ class NaiveGemmSpace(ConfigSpace):
         # A single block (grid 1x1) keeps the lockstep run tiny.
         return {"m": bm, "n": bn, "k": min(shape["k"], 8)}
 
-    def verification_problem(self, candidate, vshape, seed):
-        rng = np.random.default_rng(seed)
-        m, n, k = vshape["m"], vshape["n"], vshape["k"]
-        a, b = _random_fp16(rng, m, k), _random_fp16(rng, k, n)
-        c = np.zeros((m, n), dtype=np.float16)
-        return {"A": a, "B": b, "C": c}, [("C", funcs.gemm(a, b), 0.02)]
-
 
 class ParametricGemmSpace(ConfigSpace):
     """Symbolic-M GEMM (Section 3.4): row-tile and thread count over the
@@ -345,29 +306,18 @@ class ParametricGemmSpace(ConfigSpace):
         row_tile = candidate.params["row_tile"]
         threads = candidate.params["threads"]
         # A ragged M (not a multiple of the row tile) exercises the
-        # guards on every partial tile.
-        return {"m": row_tile + max(1, row_tile // 2),
-                "n": threads, "k": min(shape["k"], 16)}
+        # guards on every partial tile; ``rows`` is the allocation the
+        # launch grid covers.
+        m = row_tile + max(1, row_tile // 2)
+        return {"m": m, "n": threads, "k": min(shape["k"], 16),
+                "rows": self._grid_rows(m, row_tile) * row_tile}
 
     def verification_symbols(self, candidate, vshape):
         return {"M": vshape["m"]}
 
-    def verification_problem(self, candidate, vshape, seed):
-        rng = np.random.default_rng(seed)
-        m_sym, n, k = vshape["m"], vshape["n"], vshape["k"]
-        row_tile = candidate.params["row_tile"]
-        alloc_rows = self._grid_rows(m_sym, row_tile) * row_tile
-        a = _random_fp16(rng, alloc_rows, k)
-        b = _random_fp16(rng, k, n)
-        c = np.zeros((alloc_rows, n), dtype=np.float16)
-        # Guarded threads never write rows >= M: they must stay zero.
-        ref = np.vstack([funcs.gemm(a[:m_sym], b),
-                         np.zeros((alloc_rows - m_sym, n), np.float32)])
-        return {"A": a, "B": b, "C": c}, [("C", ref, 0.02)]
-
 
 class GemmEpilogueSpace(ConfigSpace):
-    """Fused ``C = act(A @ B + bias)``: the GEMM block-tile/warp-grid
+    """Fused ``C = relu(A @ B + bias)``: the GEMM block-tile/warp-grid
     space with the pointwise epilogue applied to the accumulator views
     (Ampere path; the epilogue builder fixes staging to unswizzled
     single-stage, so those axes are absent here)."""
@@ -377,12 +327,9 @@ class GemmEpilogueSpace(ConfigSpace):
 
     def __init__(self,
                  block_tiles: Optional[Sequence[Tuple[int, int, int]]] = None,
-                 warp_grids: Optional[Sequence[Tuple[int, int]]] = None,
-                 bias: bool = True, activation: str = "relu"):
+                 warp_grids: Optional[Sequence[Tuple[int, int]]] = None):
         self._gemm = GemmSpace(block_tiles, warp_grids,
                                swizzles=(False,), stage_counts=(1,))
-        self.bias = bias
-        self.activation = activation
 
     def candidates(self, shape, arch) -> Iterator[Candidate]:
         if not arch.supports("cp_async"):
@@ -406,7 +353,6 @@ class GemmEpilogueSpace(ConfigSpace):
     def build(self, candidate, shape) -> Kernel:
         return build_gemm_epilogue(
             shape["m"], shape["n"], shape["k"], arch="ampere",
-            bias=self.bias, activation=self.activation,
             block_tile=candidate.params["block_tile"],
             warp_grid=candidate.params["warp_grid"],
         )
@@ -417,16 +363,6 @@ class GemmEpilogueSpace(ConfigSpace):
     def verification_shape(self, candidate, shape):
         bm, bn, bk = candidate.params["block_tile"]
         return {"m": bm, "n": bn, "k": 2 * bk}
-
-    def verification_problem(self, candidate, vshape, seed):
-        rng = np.random.default_rng(seed)
-        m, n, k = vshape["m"], vshape["n"], vshape["k"]
-        a, b = _random_fp16(rng, m, k), _random_fp16(rng, k, n)
-        bias = _random_fp16(rng, n)
-        c = np.zeros((m, n), dtype=np.float16)
-        ref = funcs.gemm_bias_act(a, b, bias, self.activation)
-        bindings = {"A": a, "B": b, "bias": bias, "C": c}
-        return bindings, [("C", ref, 0.05)]
 
 
 class MovesSpace(ConfigSpace):
@@ -449,14 +385,6 @@ class MovesSpace(ConfigSpace):
 
     def verification_shape(self, candidate, shape):
         return {}
-
-    def verification_problem(self, candidate, vshape, seed):
-        # Distinct values per element make the fragment mapping exact;
-        # a pure move must be bit-perfect (tolerance 0).
-        src = np.arange(256, dtype=np.float16).reshape(16, 16)
-        out = np.zeros((32, 8), dtype=np.float16)
-        return {"src": src, "out": out}, [("out", ldmatrix_reference(src),
-                                           0.0)]
 
 
 SPACES.update({

@@ -32,7 +32,6 @@ from ..layout.linear import (
     LinearLayoutError, prove_conflict_free, synthesize_bank_swizzle,
 )
 from ..layout.swizzle import IDENTITY_SWIZZLE, Swizzle
-from ..library import funcs
 from ..specs.kernel import Kernel
 
 #: CUDA's hard per-block thread limit.
@@ -136,8 +135,14 @@ class ConfigSpace:
 
         ``bindings`` are the numpy arrays the kernel launches over;
         ``checks`` is a list of ``(output_name, reference, tolerance)``.
+        Every family draws from its generator in the problem table
+        (:mod:`repro.library.problems`) at ``vshape``.
         """
-        raise NotImplementedError
+        # Imported on first use: ``import repro.tuner`` loads no module
+        # beyond the ones it needs.
+        from ..library.problems import problem
+
+        return problem(self.family, np.random.default_rng(seed), **vshape)
 
     def verification_symbols(self, candidate: Candidate,
                              vshape: Dict[str, int]) -> Optional[Dict[str, int]]:
@@ -173,10 +178,6 @@ def certified_conflict_free(row_elems: int) -> bool:
         return prove_conflict_free(row_elems, swizzle)
     except LinearLayoutError:
         return False
-
-
-def _random_fp16(rng, *shape):
-    return (rng.random(shape, dtype=np.float64) - 0.5).astype(np.float16)
 
 
 class GemmSpace(ConfigSpace):
@@ -382,15 +383,6 @@ class GemmSpace(ConfigSpace):
         bm, bn, bk = candidate.params["block_tile"]
         return {"m": bm, "n": bn, "k": 2 * bk}
 
-    def verification_problem(self, candidate, vshape, seed):
-        rng = np.random.default_rng(seed)
-        m, n, k = vshape["m"], vshape["n"], vshape["k"]
-        a = _random_fp16(rng, m, k)
-        b = _random_fp16(rng, k, n)
-        c = np.zeros((m, n), dtype=np.float16)
-        ref = funcs.gemm(a, b)
-        return {"A": a, "B": b, "C": c}, [("C", ref, 0.02)]
-
 
 class LayernormSpace(ConfigSpace):
     """Row-normalisation decompositions: warp-per-row lanes combining
@@ -441,17 +433,6 @@ class LayernormSpace(ConfigSpace):
         wpb = candidate.params["warps_per_block"]
         rows_quantum = wpb if candidate.params["warp_per_row"] else wpb * 32
         return {"rows": 2 * rows_quantum, "hidden": shape["hidden"]}
-
-    def verification_problem(self, candidate, vshape, seed):
-        rng = np.random.default_rng(seed)
-        rows, hidden = vshape["rows"], vshape["hidden"]
-        x = _random_fp16(rng, rows, hidden)
-        gamma = (rng.random(hidden) * 2).astype(np.float16)
-        beta = _random_fp16(rng, hidden)
-        y = np.zeros((rows, hidden), dtype=np.float16)
-        ref = funcs.layernorm(x, gamma, beta)
-        bindings = {"X": x, "gamma": gamma, "beta": beta, "Y": y}
-        return bindings, [("Y", ref, 0.02)]
 
 
 class MlpSpace(ConfigSpace):
@@ -533,20 +514,6 @@ class MlpSpace(ConfigSpace):
             "layers": min(candidate.params["depth"], 2),
         }
 
-    def verification_problem(self, candidate, vshape, seed):
-        rng = np.random.default_rng(seed)
-        m, hidden, layers = vshape["m"], vshape["hidden"], vshape["layers"]
-        x = _random_fp16(rng, m, hidden)
-        weights = [_random_fp16(rng, hidden, hidden) for _ in range(layers)]
-        biases = [_random_fp16(rng, hidden) for _ in range(layers)]
-        y = np.zeros((m, hidden), dtype=np.float16)
-        ref = funcs.mlp(x, weights, biases)
-        bindings = {"X": x, "Y": y}
-        for layer in range(layers):
-            bindings[f"W{layer}"] = weights[layer]
-            bindings[f"bias{layer}"] = biases[layer]
-        return bindings, [("Y", ref, 0.05)]
-
 
 class HopperFp8GemmSpace(ConfigSpace):
     """Hopper fp8 warpgroup GEMM decompositions.
@@ -612,20 +579,6 @@ class HopperFp8GemmSpace(ConfigSpace):
         return {"m": WG_M, "n": WG_N,
                 "k": 2 * candidate.params["block_k"]}
 
-    def verification_problem(self, candidate, vshape, seed):
-        from ..tensor.dtypes import FP8E4M3
-
-        rng = np.random.default_rng(seed)
-        m, n, k = vshape["m"], vshape["n"], vshape["k"]
-        a = FP8E4M3.quantize(
-            (rng.random((m, k), dtype=np.float64) - 0.5).astype(np.float32))
-        b = FP8E4M3.quantize(
-            (rng.random((k, n), dtype=np.float64) - 0.5).astype(np.float32))
-        c = np.zeros((m, n), dtype=np.float16)
-        ref = (a.astype(np.float64) @ b.astype(np.float64)
-               ).astype(np.float16)
-        return {"A": a, "B": b, "C": c}, [("C", ref, 0.05)]
-
 
 class Sparse24GemmSpace(ConfigSpace):
     """Hopper 2:4 structured-sparse GEMM decompositions.
@@ -683,19 +636,6 @@ class Sparse24GemmSpace(ConfigSpace):
     def verification_shape(self, candidate, shape):
         return {"m": WG_M, "n": WG_N,
                 "k": 2 * candidate.params["block_k"]}
-
-    def verification_problem(self, candidate, vshape, seed):
-        from ..kernels.hopper import random_sparse24
-
-        rng = np.random.default_rng(seed)
-        m, n, k = vshape["m"], vshape["n"], vshape["k"]
-        comp, meta, dense = random_sparse24(rng, m, k)
-        b = _random_fp16(rng, k, n)
-        c = np.zeros((m, n), dtype=np.float16)
-        ref = (dense.astype(np.float64) @ b.astype(np.float64)
-               ).astype(np.float16)
-        bindings = {"A_comp": comp, "A_meta": meta, "B": b, "C": c}
-        return bindings, [("C", ref, 0.05)]
 
 
 SPACES = {

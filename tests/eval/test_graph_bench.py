@@ -4,10 +4,19 @@ import json
 
 import pytest
 
+from repro.eval import graph_bench
 from repro.eval.graph_bench import BENCH_NETWORKS, SCHEMA, run_graph_bench
 from tests.eval import assert_header
+from tests.graph.shared import SharedNetwork
 
 pytestmark = pytest.mark.graph
+
+
+@pytest.fixture
+def shared_lowerings(monkeypatch):
+    """The bench runs the session's shared lowerings: these tests check
+    the artifact, not a first run."""
+    monkeypatch.setattr(graph_bench, "network", SharedNetwork)
 
 
 class TestGraphBench:
@@ -21,7 +30,8 @@ class TestGraphBench:
         with pytest.raises(KeyError, match="unknown networks"):
             run_graph_bench(networks=["AlexNet"], outdir=str(tmp_path))
 
-    def test_payload_schema_and_attribution(self, tmp_path):
+    def test_payload_schema_and_attribution(self, tmp_path,
+                                            shared_lowerings):
         path = run_graph_bench(networks=["DistilBERT"], tune=False,
                                outdir=str(tmp_path))
         with open(path) as fh:
@@ -50,7 +60,8 @@ class TestGraphBench:
         assert row["modelled_context"]["attribution"] == "modelled"
         assert row["modelled_context"]["library_us"] > 0
 
-    def test_decode_row_has_no_modelled_context(self, tmp_path):
+    def test_decode_row_has_no_modelled_context(self, tmp_path,
+                                                shared_lowerings):
         path = run_graph_bench(networks=["GPT-2-decode"], tune=False,
                                outdir=str(tmp_path))
         with open(path) as fh:
@@ -59,7 +70,8 @@ class TestGraphBench:
         assert row["scenario"] == "decode"
         assert "modelled_context" not in row
 
-    def test_cli_graph_bench_subcommand(self, tmp_path, capsys):
+    def test_cli_graph_bench_subcommand(self, tmp_path, capsys,
+                                        shared_lowerings):
         from repro.eval.__main__ import main
 
         rc = main(["graph-bench", "DistilBERT", "--no-tune",

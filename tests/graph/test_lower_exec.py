@@ -26,6 +26,8 @@ from repro.sim.profiler import Profiler
 from repro.sim.sanitizer import Sanitizer
 from repro.sim.trace import PlanTrace
 
+from .shared import lowered_network
+
 pytestmark = pytest.mark.graph
 
 ALL_GRAPHS = sorted(REDUCED_NETWORKS) + [DECODE_SCENARIO.name]
@@ -56,8 +58,7 @@ def _assert_same_run(warm, cold):
 class TestExecutedBitExact:
     @pytest.mark.parametrize("name", ALL_GRAPHS)
     def test_auto_mode_groups_match_numpy(self, name):
-        net = network(name)
-        net.lower("ampere", mode="auto")
+        net = lowered_network(name, "auto")
         run = net.run(seed=0)
         assert run.attribution == "executed"
         assert run.passed
@@ -66,7 +67,7 @@ class TestExecutedBitExact:
         assert run.seconds > 0
         assert all(arr.dtype == np.float16 for arr in run.outputs.values())
 
-        # The second run replays the first run's traces and reuses its
+        # A later run replays the first run's traces and reuses its
         # profiled seconds; both must equal what a fresh lowering's
         # plan-path run computes and measures on the new data.
         warm = net.run(seed=1)
@@ -77,8 +78,7 @@ class TestExecutedBitExact:
 
     @pytest.mark.parametrize("name", ["DistilBERT", DECODE_SCENARIO.name])
     def test_unfused_mode_groups_match_numpy(self, name):
-        net = network(name)
-        net.lower("ampere", mode="unfused")
+        net = lowered_network(name, "unfused")
         run = net.run(seed=1)
         assert run.passed
         assert all(g.mode == "unfused" for g in run.groups)
@@ -93,10 +93,8 @@ class TestExecutedBitExact:
         # orders differ (the fused epilogue stays in fp32 off the
         # accumulator, the unfused path rounds the GEMM to fp16 first),
         # so across lowerings agreement is fp16-tolerance, not bitwise.
-        fused = network("DistilBERT")
-        fused.lower("ampere", mode="fused")
-        unfused = network("DistilBERT")
-        unfused.lower("ampere", mode="unfused")
+        fused = lowered_network("DistilBERT", "fused")
+        unfused = lowered_network("DistilBERT", "unfused")
         a, b = fused.run(seed=0), unfused.run(seed=0)
         for edge in a.outputs:
             np.testing.assert_allclose(
@@ -176,7 +174,7 @@ class TestDecodeKVCache:
         """Running the decode network attends over caller-provided
         caches; the executed cache contents are verified bitwise by the
         group check, so a passing run pins the KV-cache data path."""
-        net = network(DECODE_SCENARIO.name)
+        net = lowered_network(DECODE_SCENARIO.name, "auto")
         rng = np.random.default_rng(11)
         shape = (DECODE_SCENARIO.heads * DECODE_SCENARIO.context,
                  DECODE_SCENARIO.hidden // DECODE_SCENARIO.heads)

@@ -147,9 +147,11 @@ def test_respelled_families_share_one_graph_entry():
 
     def family(name, spelling):
         kern = build_copy(spelling, name="respell")
-        x = np.zeros((4, 8), dtype=np.float16)
-        return ServeFamily(name, kern, AMPERE, {}, ("Y",),
-                           {"X": x, "Y": x})
+
+        def draw(rng):
+            return {"X": (rng.random((4, 8)) - 0.5).astype(np.float16),
+                    "Y": np.zeros((4, 8), np.float16)}
+        return ServeFamily(name, kern, AMPERE, {}, ("Y",), draw)
 
     fams = [family("copy_flat", FLAT), family("copy_nested", NESTED)]
     rng = np.random.default_rng(3)

@@ -24,8 +24,8 @@ from repro.kernels import (
     HopperFp8GemmConfig, LayernormConfig, NaiveGemmConfig, SoftmaxConfig,
     Sparse24GemmConfig, build,
 )
-from repro.kernels.hopper import random_sparse24
 from repro.library import funcs
+from repro.library.problems import draw
 from repro.sim import (
     LaunchPlan, PlanCache, RunOptions, SimulationError, Simulator,
     kernel_fingerprint, plan_cache_key, strip_barriers,
@@ -34,7 +34,6 @@ from repro.sim.profiler import SpecCounters
 from repro.sim.sanitizer import verdict
 from repro.specs.atomic import AtomicSpec, OperandPattern as Op
 from repro.tensor import FP16, FP32, INT32, RF, SH
-from repro.tensor.dtypes import FP8E4M3
 
 from .reference_oracle import ReferenceSimulator
 
@@ -117,21 +116,13 @@ class TestHopperGrid:
 
     def _case(self, family, rng):
         m, n, k = 64, 128, 64
-        if family == "gemm_fp8":
-            a = FP8E4M3.quantize(rng.random((m, k)).astype(np.float32) - 0.5)
-            b = FP8E4M3.quantize(rng.random((k, n)).astype(np.float32) - 0.5)
-            kernel = build(HopperFp8GemmConfig(m=m, n=n, k=k, block_k=32))
-            arrays = {"A": a, "B": b}
-        else:
-            comp, meta, _ = random_sparse24(rng, m, k)
-            b = (rng.random((k, n)) - 0.5).astype(np.float16)
-            kernel = build(Sparse24GemmConfig(m=m, n=n, k=k, block_k=32))
-            arrays = {"A_comp": comp, "A_meta": meta, "B": b}
-        arrays["C"] = np.zeros((m, n), np.float16)
+        config = {"gemm_fp8": HopperFp8GemmConfig,
+                  "gemm_sparse24": Sparse24GemmConfig}[family]
+        kernel = build(config(m=m, n=n, k=k, block_k=32))
+        arrays = draw(family, rng, m=m, n=n, k=k)
         assert kernel.grid_size() == 2
         return Case(name=f"{family}_2blocks", family=family, kernel=kernel,
-                    arrays=arrays, outputs=[], reference={}, tol=0.0,
-                    arch=HOPPER)
+                    arrays=arrays, outputs=[], arch=HOPPER)
 
     @pytest.mark.parametrize("family", ["gemm_fp8", "gemm_sparse24"])
     def test_engines_match(self, family):
@@ -170,7 +161,7 @@ def _fuzz_cases(count=4, seed=2024):
             arrays = {"X": x, "Y": np.zeros((rows, cols), np.float16)}
             name = f"fuzz_softmax_{rows}x{cols}"
         cases.append(Case(name=name, family="fuzz", kernel=kernel,
-                          arrays=arrays, outputs=[], reference={}, tol=0.0))
+                          arrays=arrays, outputs=[]))
     return cases
 
 
@@ -192,7 +183,7 @@ def _alias_case(name, build, arrays):
     kb = KernelBuilder(name, (1,), (N_ALIAS,))
     build(kb, Var("threadIdx.x"))
     return Case(name=name, family="alias", kernel=kb.build(), arrays=arrays,
-                outputs=[], reference={}, tol=0.0, arch=AMPERE)
+                outputs=[], arch=AMPERE)
 
 
 def _shared_shift(kb, t, shift):

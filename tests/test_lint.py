@@ -117,3 +117,50 @@ def test_no_identity_keyed_module_dicts_in_sim():
         "module-level tables keyed by id() under repro/sim:\n"
         + "\n".join(offenders)
     )
+
+
+_PROBLEM_DRAW = re.compile(r"FP8E4M3\.quantize\(|random_sparse24\(")
+
+
+def test_structured_inputs_drawn_only_in_the_problem_table():
+    """Only ``repro.library.problems`` quantizes fp8 inputs or draws 2:4
+    operands, so every consumer of a family's problem gets the same
+    draw.  (``repro.kernels.hopper`` defines ``random_sparse24``.)"""
+    home = pathlib.Path("repro", "library", "problems.py")
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC)
+        if rel == home:
+            continue
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            if _PROBLEM_DRAW.search(line) and not line.lstrip().startswith(
+                    "def "):
+                offenders.append(f"{rel}:{lineno}: {line.strip()}")
+    assert not offenders, (
+        "structured input draws outside repro/library/problems.py (call "
+        "problems.draw or problems.problem instead):\n"
+        + "\n".join(offenders)
+    )
+
+
+def test_no_tuner_space_overrides_verification_problem():
+    """Every tuning space poses its gate problem through the base class,
+    which draws from the problem table; a space only names the
+    verification shape."""
+    offenders = []
+    for path in sorted((SRC / "repro" / "tuner").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if (not isinstance(node, ast.ClassDef)
+                    or node.name == "ConfigSpace"):
+                continue
+            offenders += [
+                f"{path.relative_to(SRC)}:{item.lineno}: {node.name}"
+                for item in node.body
+                if isinstance(item, ast.FunctionDef)
+                and item.name == "verification_problem"
+            ]
+    assert not offenders, (
+        "tuner spaces overriding verification_problem:\n"
+        + "\n".join(offenders)
+    )
