@@ -11,16 +11,16 @@ Run:  python examples/custom_fusion.py
 import numpy as np
 
 from repro import AMPERE, CudaGenerator, Simulator
-from repro.kernels.epilogue import build_gemm_epilogue
+from repro.kernels import GemmEpilogueConfig, build
 
 
 def main():
     m, n, k = 32, 16, 16
-    kernel = build_gemm_epilogue(
+    kernel = build(GemmEpilogueConfig(
         m, n, k, arch="ampere", bias=True, activation="tanh",
         block_tile=(32, 16, 16), warp_grid=(1, 1),
         name="gemm_bias_tanh",
-    )
+    ))
 
     rng = np.random.default_rng(5)
     x = (rng.random((m, k)) - 0.5).astype(np.float16)

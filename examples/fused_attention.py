@@ -14,14 +14,14 @@ import numpy as np
 
 from repro import AMPERE, Simulator
 from repro.eval.figures import figure_14
-from repro.kernels.fmha import build_fused_fmha
+from repro.kernels import FmhaConfig, build
 from repro.library.funcs import multi_head_attention
 
 
 def main():
     # -- numerics at simulation scale ----------------------------------------
     batch_heads, seq, dim = 2, 32, 16
-    kernel = build_fused_fmha(batch_heads, seq, dim, kv_chunk=16)
+    kernel = build(FmhaConfig(batch_heads, seq, dim, kv_chunk=16))
     rng = np.random.default_rng(1)
     q = (rng.random((batch_heads * seq, dim)) - 0.5).astype(np.float16)
     k = (rng.random((batch_heads * seq, dim)) - 0.5).astype(np.float16)

@@ -17,9 +17,8 @@ import numpy as np
 
 from repro import AMPERE, CudaGenerator, Simulator, warp
 from repro.layout import Layout
-from repro.kernels.moves import (
-    build_ldmatrix_kernel, ldmatrix_lane_values, ldmatrix_reference,
-)
+from repro.kernels import LdmatrixMoveConfig, build
+from repro.kernels.moves import ldmatrix_lane_values, ldmatrix_reference
 
 
 def main():
@@ -35,7 +34,7 @@ def main():
     print()
 
     # -- the kernel and its CUDA (Figures 1c/1d) -----------------------------
-    kernel = build_ldmatrix_kernel()
+    kernel = build(LdmatrixMoveConfig())
     source = CudaGenerator(AMPERE).generate(kernel)
     print(source.code)
 

@@ -30,16 +30,11 @@ import numpy as np
 from ..arch import AMPERE, HOPPER, VOLTA
 from ..codegen.cuda import CudaGenerator, KernelSource
 from ..codegen.emulator import EmulatorError, emulate
-from ..kernels.epilogue import build_gemm_epilogue
-from ..kernels.fmha import build_fused_fmha
-from ..kernels.gemm_optimized import build_ampere_tc_gemm
-from ..kernels.gemm_parametric import build_parametric_gemm
-from ..kernels.lstm import build_fused_lstm_cell
-from ..kernels.mlp import build_fused_mlp
-from ..kernels.moves import build_ldmatrix_kernel
 from ..kernels.config import (
-    GemmConfig, HopperFp8GemmConfig, LayernormConfig, NaiveGemmConfig,
-    SoftmaxConfig, Sparse24GemmConfig,
+    FmhaConfig, GemmConfig, GemmEpilogueConfig, HopperFp8GemmConfig,
+    LayernormConfig, LdmatrixMoveConfig, LstmConfig, MlpConfig,
+    NaiveGemmConfig, ParametricGemmConfig, SoftmaxConfig,
+    Sparse24GemmConfig,
 )
 from ..kernels import build
 from ..sim import RunOptions, Simulator
@@ -94,8 +89,9 @@ _ROWS = (
                                            threads=(2, 2))),
      dict(m=16, n=16, k=16)),
     ("gemm_ampere", "gemm", AMPERE,
-     lambda m, n, k: build_ampere_tc_gemm(m, n, k, block_tile=(32, 16, 16),
-                                          warp_grid=(1, 1)),
+     lambda m, n, k: build(GemmConfig(m=m, n=n, k=k,
+                                      block_tile=(32, 16, 16),
+                                      warp_grid=(1, 1))),
      dict(m=32, n=16, k=16)),
     ("gemm_ampere_swizzled", "gemm", AMPERE,
      lambda m, n, k: build(GemmConfig(m=m, n=n, k=k,
@@ -117,14 +113,16 @@ _ROWS = (
     # Symbolic M = 28 over 64 allocated rows: the guarded rows >= M
     # must stay zero.
     ("gemm_parametric", "gemm_parametric", AMPERE,
-     lambda m, n, k, rows: build_parametric_gemm(
-         n=n, k=k, row_tile=8, max_grid_rows=rows // 8, threads=32),
+     lambda m, n, k, rows: build(ParametricGemmConfig(
+         n=n, k=k, row_tile=8, max_grid_rows=rows // 8, threads=32)),
      dict(m=28, n=32, k=16, rows=64)),
     ("gemm_epilogue", "gemm_epilogue", AMPERE,
-     lambda m, n, k: build_gemm_epilogue(m, n, k, block_tile=(32, 16, 16),
-                                         warp_grid=(1, 1)),
+     lambda m, n, k: build(GemmEpilogueConfig(m, n, k,
+                                              block_tile=(32, 16, 16),
+                                              warp_grid=(1, 1))),
      dict(m=32, n=16, k=16)),
-    ("moves_ldmatrix", "moves", AMPERE, build_ldmatrix_kernel, {}),
+    ("moves_ldmatrix", "moves", AMPERE,
+     lambda: build(LdmatrixMoveConfig()), {}),
     ("layernorm", "layernorm", AMPERE,
      lambda rows, hidden: build(LayernormConfig(rows, hidden,
                                                 warps_per_block=4)),
@@ -134,16 +132,16 @@ _ROWS = (
                                             threads_per_block=32)),
      dict(rows=32, cols=16)),
     ("mlp", "mlp", AMPERE,
-     lambda m, hidden, layers: build_fused_mlp(
-         m, hidden, layers=layers, block_rows=64, warp_grid=(2, 2)),
+     lambda m, hidden, layers: build(MlpConfig(
+         m, hidden, layers, block_rows=64, warp_grid=(2, 2))),
      dict(m=64, hidden=64, layers=2)),
     ("lstm", "lstm", AMPERE,
-     lambda m, n, k: build_fused_lstm_cell(m, n, k, block_tile=(32, 16, 16),
-                                           warp_grid=(1, 1)),
+     lambda m, n, k: build(LstmConfig(m, n, k, block_tile=(32, 16, 16),
+                                      warp_grid=(1, 1))),
      dict(m=32, n=16, k=16)),
     ("fmha", "fmha", AMPERE,
-     lambda batch_heads, seq, head_dim: build_fused_fmha(
-         batch_heads, seq, head_dim, q_tile=16, kv_chunk=16),
+     lambda batch_heads, seq, head_dim: build(FmhaConfig(
+         batch_heads, seq, head_dim, q_tile=16, kv_chunk=16)),
      dict(batch_heads=1, seq=16, head_dim=16)),
     # Hopper fp8 warpgroup GEMM over pre-quantized e4m3 operands.
     ("gemm_fp8_hopper", "gemm_fp8", HOPPER,

@@ -15,13 +15,11 @@ from typing import Dict, Optional
 
 from ..arch import AMPERE, VOLTA, architecture
 from ..arch.gpu import Architecture
-from ..kernels.fmha import build_fused_fmha
-from ..kernels.gemm_optimized import build_ampere_tc_gemm, build_volta_tc_gemm
-from ..kernels.epilogue import build_gemm_epilogue
-from ..kernels.config import LayernormConfig
 from ..kernels import build as build_kernel
-from ..kernels.lstm import build_fused_lstm_cell
-from ..kernels.mlp import build_fused_mlp
+from ..kernels.config import (
+    FmhaConfig, GemmConfig, GemmEpilogueConfig, LayernormConfig, LstmConfig,
+    MlpConfig,
+)
 from ..library.cublas import CuBLAS, CuBLASLt
 from ..library.cudnn import CuDNN
 from ..library.torchref import PyTorchRef, TensorRTFMHA
@@ -40,12 +38,13 @@ GEMM_SIZES = {
 }
 
 
-def _gemm_kernel(arch_name: str, m: int, n: int, k: int, **kw):
+def _gemm_kernel(arch_name: str, m: int, n: int, k: int):
     if architecture(arch_name).supports("cp_async"):
-        return build_ampere_tc_gemm(m, n, k, block_tile=(128, 128, 32),
-                                    warp_grid=(2, 2), **kw)
-    return build_volta_tc_gemm(m, n, k, block_tile=(128, 128, 32),
-                               warp_grid=(4, 4), qp_tile=(2, 2), **kw)
+        return build_kernel(GemmConfig(m, n, k, block_tile=(128, 128, 32),
+                                       warp_grid=(2, 2)))
+    return build_kernel(GemmConfig(m, n, k, block_tile=(128, 128, 32),
+                                   warp_grid=(4, 4), variant="volta",
+                                   qp_tile=(2, 2)))
 
 
 def figure_9(arch_names=("volta", "ampere")) -> FigureReport:
@@ -155,11 +154,11 @@ def figure_10(arch_names=("volta", "ampere")) -> FigureReport:
         m, n, k = GEMM_SIZES[arch_name]
         lt = CuBLASLt(arch)
         for label, bias, act in variants:
-            kernel = build_gemm_epilogue(
+            kernel = build_kernel(GemmEpilogueConfig(
                 m, n, k, arch_name, bias=bias, activation=act,
                 block_tile=(128, 128, 32),
                 warp_grid=(2, 2) if arch.supports("cp_async") else (4, 4),
-            )
+            ))
             graphene = estimate_kernel(kernel, arch)
             baseline = lt.gemm_epilogue_estimate(m, n, k, bias, act)
             report.add_row(
@@ -189,8 +188,9 @@ def figure_11(
         arch = architecture(arch_name)
         lt = CuBLASLt(arch)
         for layers in layer_counts:
-            kernel = build_fused_mlp(m, hidden, layers, block_rows=128,
-                                     warp_grid=(2, 2))
+            kernel = build_kernel(MlpConfig(m, hidden, layers,
+                                            block_rows=128,
+                                            warp_grid=(2, 2)))
             graphene = estimate_kernel(kernel, arch, count_arch=AMPERE)
             baseline = layers * lt.mlp_layer_seconds(m, hidden)
             report.add_row(
@@ -225,8 +225,8 @@ def figure_12(
         blas = CuBLAS(arch)
         lt = CuBLASLt(arch)
         dnn = CuDNN(arch)
-        kernel = build_fused_lstm_cell(m, n, k, block_tile=(128, 128, 32),
-                                       warp_grid=(2, 2))
+        kernel = build_kernel(LstmConfig(m, n, k, block_tile=(128, 128, 32),
+                                         warp_grid=(2, 2)))
         graphene = estimate_kernel(kernel, arch, count_arch=AMPERE)
         five = (
             2 * blas.gemm_seconds(m, n, k)
@@ -298,7 +298,8 @@ def figure_14(
         "Figure 14", "FMHA (MLPerf BERT configuration)",
         ["impl", "time_us", "speedup_vs_unfused", "paper_claim"],
     )
-    kernel = build_fused_fmha(heads * batch, seq, head_dim, kv_chunk=64)
+    kernel = build_kernel(FmhaConfig(heads * batch, seq, head_dim,
+                                     kv_chunk=64))
     graphene = estimate_kernel(kernel, arch, efficiency=ATTENTION_CLASS)
     unfused = PyTorchRef(arch).unfused_attention_seconds(
         heads, batch, seq, head_dim, softmax_fused=False
@@ -329,9 +330,9 @@ def figure_15(arch_name: str = "ampere") -> FigureReport:
     )
     for name, cfg in NETWORKS.items():
         head_dim = cfg.hidden // cfg.heads
-        kernel = build_fused_fmha(
+        kernel = build_kernel(FmhaConfig(
             cfg.heads * cfg.batch, cfg.seq, head_dim, kv_chunk=64
-        )
+        ))
         fmha = estimate_kernel(
             kernel, arch, efficiency=ATTENTION_CLASS
         ).time_seconds

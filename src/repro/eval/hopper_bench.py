@@ -89,9 +89,9 @@ def lowering_comparison(arch, shape: Tuple[int, int, int] = BENCH_SHAPE
     per-instruction math; TMA keeps staging off the shared-memory bank
     path; 2:4 sparsity halves both the A traffic and the wgmma count.
     """
-    from ..kernels.gemm_optimized import build_ampere_tc_gemm
-    from ..kernels.hopper import (
-        build_hopper_fp8_gemm, build_hopper_sparse24_gemm,
+    from ..kernels import build
+    from ..kernels.config import (
+        GemmConfig, HopperFp8GemmConfig, Sparse24GemmConfig,
     )
 
     m, n, k = shape
@@ -100,14 +100,15 @@ def lowering_comparison(arch, shape: Tuple[int, int, int] = BENCH_SHAPE
         # The hand-written Ampere-lowering config the repo's GEMM
         # defaults to, and the same lowering at the warpgroup's own
         # 64x64 block tile (the sparse kernel's granularity).
-        "ampere_cp_async_fp16": build_ampere_tc_gemm(
-            m, n, k, block_tile=(128, 128, 32), warp_grid=(2, 2)),
-        "ampere_cp_async_fp16_tile64": build_ampere_tc_gemm(
+        "ampere_cp_async_fp16": build(GemmConfig(
+            m, n, k, block_tile=(128, 128, 32), warp_grid=(2, 2))),
+        "ampere_cp_async_fp16_tile64": build(GemmConfig(
             m, n, k, block_tile=(64, 64, 32), warp_grid=(2, 2),
-            name="graphene_gemm_sm86_tile64"),
-        "hopper_tma_wgmma_fp8": build_hopper_fp8_gemm(m, n, k, block_k=64),
-        "hopper_tma_wgmma_sparse24": build_hopper_sparse24_gemm(
-            m, n, k, block_k=32),
+            name="graphene_gemm_sm86_tile64")),
+        "hopper_tma_wgmma_fp8": build(HopperFp8GemmConfig(
+            m, n, k, block_k=64)),
+        "hopper_tma_wgmma_sparse24": build(Sparse24GemmConfig(
+            m, n, k, block_k=32)),
     }
     for label, kernel in contenders.items():
         cost = estimate_kernel(kernel, arch)

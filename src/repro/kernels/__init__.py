@@ -1,15 +1,11 @@
-"""The kernel library: paper-figure kernels behind one constructor API.
+"""The kernel library: paper-figure kernels behind one constructor.
 
-Every family module exposes the same pair over the shared
-config-dataclass convention of :mod:`repro.kernels.config`:
-
-* ``build(cfg: <Family>Config) -> Kernel`` — canonical constructor,
-* ``from_tuned(...) -> Kernel`` — autotuned constructor (families
-  without a registered tuning space fall back to the default config).
-
-``repro.kernels.build(cfg)`` dispatches on the config type, so callers
-can hold configs as plain data.  These two are the *only* constructor
-surface — the PR-1-era ``build_*`` entry points are gone.
+Each family has one frozen config dataclass in
+:mod:`repro.kernels.config` holding the problem shape and the
+decomposition knobs, and one config builder in its module
+(:data:`BUILDERS`).  ``repro.kernels.build(cfg)`` dispatches on the
+config type, so callers hold configs as plain data.  An autotuned
+kernel comes from the tuner: ``repro.tuner.tune(...).build_kernel()``.
 """
 
 from __future__ import annotations
@@ -28,7 +24,7 @@ from .config import (
     SplitHeadsConfig, TransposeConfig, config_summary,
 )
 
-#: Config type -> family module ``build`` function.
+#: Config type -> the family module's config builder.
 BUILDERS = {
     NaiveGemmConfig: gemm.build,
     GemmConfig: gemm_optimized.build,
@@ -51,10 +47,6 @@ BUILDERS = {
     Sparse24GemmConfig: hopper.build_sparse24,
 }
 
-#: Family key -> config type (the inverse view, for CLI/artifact use).
-CONFIG_TYPES = {cfg_type.family: cfg_type for cfg_type in BUILDERS}
-
-
 def build(cfg: KernelConfig) -> Kernel:
     """Build the kernel a family config describes."""
     builder = BUILDERS.get(type(cfg))
@@ -67,7 +59,7 @@ def build(cfg: KernelConfig) -> Kernel:
 
 
 __all__ = [
-    "build", "BUILDERS", "CONFIG_TYPES", "config_summary",
+    "build", "BUILDERS", "config_summary",
     "KernelConfig", "NaiveGemmConfig", "GemmConfig",
     "ParametricGemmConfig", "GemmEpilogueConfig", "LayernormConfig",
     "MlpConfig", "SoftmaxConfig", "LstmConfig", "FmhaConfig",

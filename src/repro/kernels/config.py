@@ -1,24 +1,15 @@
-"""Shared config-dataclass convention for the kernel library.
+"""One frozen config dataclass per kernel family.
 
-PR 1 grew each kernel family a slightly different constructor signature;
-this module unifies the surface: every family has one frozen
-``<Family>Config`` dataclass holding the problem shape plus the
-decomposition knobs, and every module in :mod:`repro.kernels` exposes
-the same pair
-
-* ``build(cfg: <Family>Config) -> Kernel`` — the canonical constructor,
-* ``from_tuned(...) -> Kernel`` — the autotuned constructor (families
-  without a registered tuning space fall back to the default config),
-
-and nothing else — the original ``build_*`` entry points are retired.
-``repro.kernels.build(cfg)`` dispatches on the config type, so call
-sites can treat configs as plain data (they are hashable and
-``asdict``-able for caches and artifacts).
+A ``<Family>Config`` holds the problem shape plus the decomposition
+knobs, and is the only place a family's defaults are written.  Each
+family module's config builder turns one into a kernel, and
+``repro.kernels.build(cfg)`` dispatches on the config type.  Configs
+are hashable, so call sites can treat them as plain data.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import ClassVar, Optional, Tuple
 
 from ..tensor.dtypes import DType, FP16
@@ -30,15 +21,6 @@ class KernelConfig:
 
     #: Family key (matches the tuner's space registry where one exists).
     family: ClassVar[str] = ""
-
-    def as_dict(self) -> dict:
-        d = asdict(self)
-        d["family"] = self.family
-        return d
-
-    def replace(self, **changes) -> "KernelConfig":
-        from dataclasses import replace as _replace
-        return _replace(self, **changes)
 
 
 @dataclass(frozen=True)
@@ -295,7 +277,7 @@ class HopperFp8GemmConfig(KernelConfig):
     k: int = 256
     block_k: int = 64
     two_stage_acc: bool = True
-    name: Optional[str] = None
+    name: str = "graphene_gemm_fp8_sm90"
 
 
 @dataclass(frozen=True)
@@ -307,7 +289,7 @@ class Sparse24GemmConfig(KernelConfig):
     n: int = 256
     k: int = 256
     block_k: int = 32
-    name: Optional[str] = None
+    name: str = "graphene_gemm_sparse24_sm90"
 
 
 def config_summary(cfg: KernelConfig) -> str:

@@ -7,29 +7,13 @@ specs to the accumulator register views before the epilogue stores them.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 from ..arch import Architecture, architecture
 from ..specs.kernel import Kernel
 from ..tensor.dtypes import FP16
 from .config import GemmEpilogueConfig
 from .gemm_optimized import build_ampere_tc_gemm, build_volta_tc_gemm
-
-
-def build(cfg: GemmEpilogueConfig) -> Kernel:
-    """Canonical constructor over the shared config convention."""
-    return build_gemm_epilogue(cfg.m, cfg.n, cfg.k, arch=cfg.arch,
-                               bias=cfg.bias, activation=cfg.activation,
-                               block_tile=cfg.block_tile,
-                               warp_grid=cfg.warp_grid, name=cfg.name)
-
-
-def from_tuned(m: int, n: int, k: int, arch: str = "ampere",
-               **tune_kwargs) -> Kernel:
-    """No epilogue-specific tuning space is registered yet; returns the
-    default config (kept so every kernel module exposes the same
-    ``build``/``from_tuned`` pair)."""
-    return build(GemmEpilogueConfig(m, n, k, arch=arch))
 
 
 def pointwise_epilogue(bias: bool = True, activation: Optional[str] = "relu"):
@@ -53,32 +37,19 @@ def pointwise_epilogue(bias: bool = True, activation: Optional[str] = "relu"):
     return apply
 
 
-def build_gemm_epilogue(
-    m: int,
-    n: int,
-    k: int,
-    arch: str = "ampere",
-    bias: bool = True,
-    activation: Optional[str] = "relu",
-    block_tile: Tuple[int, int, int] = (128, 128, 32),
-    warp_grid: Tuple[int, int] = (2, 2),
-    name: Optional[str] = None,
-) -> Kernel:
+def build(cfg: GemmEpilogueConfig) -> Kernel:
     """A fused ``C = act(A @ B + bias)`` kernel (paper Figure 10)."""
-    target = architecture(arch) if not isinstance(arch, Architecture) \
-        else arch
+    target = cfg.arch if isinstance(cfg.arch, Architecture) \
+        else architecture(cfg.arch)
+    name = cfg.name
     if name is None:
-        suffix = ("bias_" if bias else "") + (activation or "identity")
+        suffix = ("bias_" if cfg.bias else "") + (cfg.activation or "identity")
         name = f"graphene_gemm_{suffix}_{target.key}"
-    epilogue = pointwise_epilogue(bias, activation)
+    body = dict(block_tile=cfg.block_tile, warp_grid=cfg.warp_grid,
+                name=name,
+                epilogue=pointwise_epilogue(cfg.bias, cfg.activation))
     # Capability dispatch: cp.async-staged ldmatrix GEMM wherever the
     # architecture has it (Ampere, Hopper), quad-pair GEMM otherwise.
     if target.supports("cp_async"):
-        return build_ampere_tc_gemm(
-            m, n, k, block_tile=block_tile, warp_grid=warp_grid,
-            name=name, epilogue=epilogue,
-        )
-    return build_volta_tc_gemm(
-        m, n, k, block_tile=block_tile, warp_grid=warp_grid,
-        name=name, epilogue=epilogue,
-    )
+        return build_ampere_tc_gemm(cfg.m, cfg.n, cfg.k, **body)
+    return build_volta_tc_gemm(cfg.m, cfg.n, cfg.k, **body)

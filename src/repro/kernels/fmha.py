@@ -29,34 +29,14 @@ from .tc_common import WarpMmaEngine
 
 
 def build(cfg: FmhaConfig) -> Kernel:
-    """Canonical constructor over the shared config convention."""
-    return build_fused_fmha(cfg.batch_heads, cfg.seq, cfg.head_dim,
-                            q_tile=cfg.q_tile, kv_chunk=cfg.kv_chunk,
-                            name=cfg.name)
-
-
-def from_tuned(batch_heads: int, seq: int, head_dim: int,
-               arch: str = "ampere", **tune_kwargs) -> Kernel:
-    """No FMHA tuning space is registered yet; returns the default
-    config (kept so every kernel module exposes the same ``build``/
-    ``from_tuned`` pair)."""
-    return build(FmhaConfig(batch_heads, seq, head_dim))
-
-
-def build_fused_fmha(
-    batch_heads: int,
-    seq: int,
-    head_dim: int,
-    q_tile: int = 16,
-    kv_chunk: int = 64,
-    name: str = "graphene_fused_fmha",
-) -> Kernel:
     """One fused kernel for ``O = softmax(Q K^T / sqrt(d)) V``.
 
     ``Q/K/V/O`` are ``[batch_heads * seq, head_dim]`` fp16 (each
     consecutive ``seq``-row band is one head).  Each block handles one
     head and ``q_tile`` query rows with a single warp.
     """
+    batch_heads, seq, head_dim = cfg.batch_heads, cfg.seq, cfg.head_dim
+    q_tile, kv_chunk, name = cfg.q_tile, cfg.kv_chunk, cfg.name
     if q_tile != 16:
         raise ValueError("the single-warp decomposition uses 16 query rows")
     if seq % kv_chunk or kv_chunk % 16 or head_dim % 16:

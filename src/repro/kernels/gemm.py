@@ -56,14 +56,3 @@ def build(cfg: NaiveGemmConfig) -> Kernel:
             with kb.loop("n", reg_n) as nv:
                 kb.matmul(a_thr[mv, kv], b_thr[kv, nv], c_thr[mv, nv])
     return kb.build()
-
-
-def from_tuned(m: int, n: int, k: int, arch: str = "ampere",
-               **tune_kwargs) -> Kernel:
-    """The naive GEMM is the untuned Figure 8 baseline by definition;
-    no tuning space is registered, so this returns the default config
-    (kept so every kernel module exposes the same ``build``/
-    ``from_tuned`` pair).  Tuned GEMMs come from
-    :func:`repro.kernels.gemm_optimized.from_tuned`.
-    """
-    return build(NaiveGemmConfig(m, n, k))

@@ -24,11 +24,13 @@ from typing import Dict, Optional, Tuple
 
 from ..frontend.builder import KernelBuilder
 from ..ir.expr import Const, Var
+from ..layout.linear import synthesize_bank_swizzle
 from ..layout.swizzle import IDENTITY_SWIZZLE, Swizzle
 from ..specs.kernel import Kernel
 from ..tensor.dtypes import FP16, FP32
 from ..tensor.memspace import RF, SH
 from ..tensor.tensor import Tensor
+from .config import GemmConfig
 from .tc_common import WarpMmaEngine
 
 
@@ -413,18 +415,15 @@ def build_ampere_tc_gemm_pipelined(
     return kb.build()
 
 
-def build(cfg: "GemmConfig") -> Kernel:
-    """Canonical constructor over the shared config convention.
+def build(cfg: GemmConfig) -> Kernel:
+    """The tensor-core GEMM a :class:`GemmConfig` describes.
 
     Dispatches on ``cfg.variant`` (``ampere``, ``ampere_pipelined``,
-    ``volta``); ``cfg.swizzled=True`` derives per-operand bank-spreading
-    swizzles from the block tile's staging-row lengths via
-    :func:`repro.tuner.space.swizzle_for_row`.
+    ``volta``); ``cfg.swizzled=True`` stages each operand through the
+    bank-spreading swizzle synthesized for its staging-row length
+    (:func:`repro.layout.linear.synthesize_bank_swizzle`), or through
+    the identity where none is needed or none exists.
     """
-    from .config import GemmConfig
-
-    if not isinstance(cfg, GemmConfig):
-        raise TypeError(f"expected GemmConfig, got {type(cfg).__name__}")
     builder = _VARIANT_BUILDERS.get(cfg.variant)
     if builder is None:
         raise ValueError(
@@ -441,11 +440,9 @@ def build(cfg: "GemmConfig") -> Kernel:
                 f"{cfg.variant} variant (its staging buffers use "
                 "per-thread moves)"
             )
-        from ..tuner.space import swizzle_for_row
-
         _bm, bn, bk = cfg.block_tile
-        common["swizzle_a"] = swizzle_for_row(bk)
-        common["swizzle_b"] = swizzle_for_row(bn)
+        common["swizzle_a"] = synthesize_bank_swizzle(bk) or IDENTITY_SWIZZLE
+        common["swizzle_b"] = synthesize_bank_swizzle(bn) or IDENTITY_SWIZZLE
     return builder(cfg, common)
 
 
@@ -462,20 +459,3 @@ _VARIANT_BUILDERS = {
 
 #: Variants whose staging buffers accept bank-spreading swizzles.
 _SWIZZLABLE_VARIANTS = frozenset({"ampere", "ampere_pipelined"})
-
-
-def from_tuned(m: int, n: int, k: int, arch="ampere", **tune_kwargs) -> Kernel:
-    """Build the GEMM kernel the autotuner selects for this problem.
-
-    Runs (or serves from the persistent tuning cache) a
-    :func:`repro.tuner.tune` search over the GEMM decomposition space
-    and instantiates the winning configuration at full problem scale.
-    Keyword arguments are forwarded to :func:`repro.tuner.tune`
-    (``cache=False`` disables the on-disk cache, ``search=...`` picks
-    the driver, ...).
-    """
-    from ..tuner import tune
-
-    result = tune("gemm", {"m": m, "n": n, "k": k}, arch=arch,
-                  **tune_kwargs)
-    return result.build_kernel()

@@ -16,7 +16,6 @@ from __future__ import annotations
 from ..frontend.builder import KernelBuilder
 from ..ir.expr import Var
 from ..specs.kernel import Kernel
-from ..tensor.dtypes import FP16, DType
 from ..tensor.memspace import GL
 from ..tensor.tensor import Tensor
 from ..layout.layout import Layout
@@ -24,30 +23,6 @@ from .config import ParametricGemmConfig
 
 
 def build(cfg: ParametricGemmConfig) -> Kernel:
-    """Canonical constructor over the shared config convention."""
-    return build_parametric_gemm(cfg.n, cfg.k, row_tile=cfg.row_tile,
-                                 max_grid_rows=cfg.max_grid_rows,
-                                 threads=cfg.threads, dtype=cfg.dtype,
-                                 name=cfg.name)
-
-
-def from_tuned(n: int, k: int, arch: str = "ampere",
-               **tune_kwargs) -> Kernel:
-    """No parametric-GEMM tuning space is registered yet; returns the
-    default config (kept so every kernel module exposes the same
-    ``build``/``from_tuned`` pair)."""
-    return build(ParametricGemmConfig(n, k))
-
-
-def build_parametric_gemm(
-    n: int,
-    k: int,
-    row_tile: int = 32,
-    max_grid_rows: int = 64,
-    threads: int = 128,
-    dtype: DType = FP16,
-    name: str = "graphene_gemm_parametric",
-) -> Kernel:
     """``C[M, n] = A[M, k] @ B[k, n]`` with symbolic ``M``.
 
     The grid is sized for up to ``max_grid_rows`` row tiles; launches
@@ -55,9 +30,12 @@ def build_parametric_gemm(
     dimension are guarded, so threads covering rows ``>= M`` neither
     read nor write out of bounds.
     """
+    n, k, row_tile, threads, dtype = (
+        cfg.n, cfg.k, cfg.row_tile, cfg.threads, cfg.dtype
+    )
     if n % threads:
         raise ValueError("threads must divide n for this decomposition")
-    kb = KernelBuilder(name, (max_grid_rows,), (threads,))
+    kb = KernelBuilder(cfg.name, (cfg.max_grid_rows,), (threads,))
     m = kb.symbol("M")
     a = Tensor("A", Layout((m, k), (k, 1)), dtype, GL)
     b = kb.param("B", (k, n), dtype)

@@ -23,7 +23,7 @@ Both families use the Hopper-generation atomics behind
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from ..frontend.builder import KernelBuilder
 from ..ir.expr import Var
 from ..specs.base import GenericSpec
 from ..specs.kernel import Kernel
-from ..tensor.dtypes import FP8E4M3, FP16, FP32, INT32, DType
+from ..tensor.dtypes import FP8E4M3, FP16, FP32, INT32
 from ..tensor.memspace import RF, SH
 from .config import HopperFp8GemmConfig, Sparse24GemmConfig
 
@@ -90,15 +90,7 @@ def _wgmma_epilogue(kb: KernelBuilder, acc, c, bid_m, bid_n) -> None:
             kb.move(acc_pairs[q, nb], c_vecs[row, colv])
 
 
-def build_hopper_fp8_gemm(
-    m: int,
-    n: int,
-    k: int,
-    block_k: int = 64,
-    two_stage_acc: bool = True,
-    in_dtype: DType = FP8E4M3,
-    name: str = "graphene_gemm_fp8_sm90",
-) -> Kernel:
+def build_fp8(cfg: HopperFp8GemmConfig) -> Kernel:
     """FP8 warpgroup GEMM: ``C = A @ B`` (e4m3 in, fp32 accum, fp16 out).
 
     One warpgroup (128 threads) per block owns a 64x64 C tile and walks
@@ -107,15 +99,17 @@ def build_hopper_fp8_gemm(
     the 2x-accumulation stage (partial tile per K-slice, folded into
     the running fp32 accumulator with a separate add).
     """
+    m, n, k, block_k = cfg.m, cfg.n, cfg.k, cfg.block_k
+    two_stage_acc = cfg.two_stage_acc
     validate_hopper_gemm_config(m, n, k, block_k, WG_K_FP8)
-    kb = KernelBuilder(name, (m // WG_M, n // WG_N), (128,))
-    a = kb.param("A", (m, k), in_dtype)
-    b = kb.param("B", (k, n), in_dtype)
+    kb = KernelBuilder(cfg.name, (m // WG_M, n // WG_N), (128,))
+    a = kb.param("A", (m, k), FP8E4M3)
+    b = kb.param("B", (k, n), FP8E4M3)
     c = kb.param("C", (m, n), FP16)
     bid_m, bid_n = kb.grid.indices()
 
-    smem_a = kb.alloc("smem_a", (WG_M, block_k), in_dtype, SH)
-    smem_b = kb.alloc("smem_b", (block_k, WG_N), in_dtype, SH)
+    smem_a = kb.alloc("smem_a", (WG_M, block_k), FP8E4M3, SH)
+    smem_b = kb.alloc("smem_b", (block_k, WG_N), FP8E4M3, SH)
     wg = kb.block.tile([128])
 
     acc = kb.alloc("acc", (4, 8), FP32, RF)
@@ -148,13 +142,7 @@ def build_hopper_fp8_gemm(
     return kb.build()
 
 
-def build_hopper_sparse24_gemm(
-    m: int,
-    n: int,
-    k: int,
-    block_k: int = 32,
-    name: str = "graphene_gemm_sparse24_sm90",
-) -> Kernel:
+def build_sparse24(cfg: Sparse24GemmConfig) -> Kernel:
     """2:4 structured-sparse warpgroup GEMM.
 
     A is stored compressed: ``A_comp`` holds the two surviving values of
@@ -163,8 +151,9 @@ def build_hopper_sparse24_gemm(
     shared-memory tile by the ``sparse24.decompress`` atomic and fed to
     the f16 ``wgmma.m64n64k16``.
     """
+    m, n, k, block_k = cfg.m, cfg.n, cfg.k, cfg.block_k
     validate_hopper_gemm_config(m, n, k, block_k, WG_K_F16, sparse=True)
-    kb = KernelBuilder(name, (m // WG_M, n // WG_N), (128,))
+    kb = KernelBuilder(cfg.name, (m // WG_M, n // WG_N), (128,))
     a_comp = kb.param("A_comp", (m, k // 2), FP16)
     a_meta = kb.param("A_meta", (m, k // 2), INT32)
     b = kb.param("B", (k, n), FP16)
@@ -272,36 +261,3 @@ def random_sparse24(rng, m: int, k: int, dtype=np.float16
     picks = rng.integers(0, len(choices), size=(m, k // 4))
     meta = choices[picks].reshape(m, k // 2)
     return comp, meta, decompress_24(comp, meta)
-
-
-# -- config-convention constructors --------------------------------------------
-def build_fp8(cfg: HopperFp8GemmConfig) -> Kernel:
-    if not isinstance(cfg, HopperFp8GemmConfig):
-        raise TypeError(
-            f"expected HopperFp8GemmConfig, got {type(cfg).__name__}"
-        )
-    kwargs = {} if cfg.name is None else {"name": cfg.name}
-    return build_hopper_fp8_gemm(
-        cfg.m, cfg.n, cfg.k, block_k=cfg.block_k,
-        two_stage_acc=cfg.two_stage_acc, **kwargs,
-    )
-
-
-def build_sparse24(cfg: Sparse24GemmConfig) -> Kernel:
-    if not isinstance(cfg, Sparse24GemmConfig):
-        raise TypeError(
-            f"expected Sparse24GemmConfig, got {type(cfg).__name__}"
-        )
-    kwargs = {} if cfg.name is None else {"name": cfg.name}
-    return build_hopper_sparse24_gemm(
-        cfg.m, cfg.n, cfg.k, block_k=cfg.block_k, **kwargs,
-    )
-
-
-def from_tuned(family: str, m: int, n: int, k: int, arch="hopper",
-               **tune_kwargs) -> Kernel:
-    """Build the Hopper kernel the autotuner selects for this problem."""
-    from ..tuner import tune
-
-    result = tune(family, {"m": m, "n": n, "k": k}, arch=arch, **tune_kwargs)
-    return result.build_kernel()

@@ -114,22 +114,6 @@ def _build_warp_per_row(rows, hidden, warps_per_block, name,
     return kb.build()
 
 
-def from_tuned(rows: int, hidden: int, arch="ampere", **tune_kwargs) -> Kernel:
-    """Build the layernorm kernel the autotuner selects for this problem.
-
-    Runs (or serves from the persistent tuning cache) a
-    :func:`repro.tuner.tune` search over warp-per-row vs thread-per-row
-    decompositions and rows-per-block choices, then instantiates the
-    winning configuration at full problem scale.  Keyword arguments are
-    forwarded to :func:`repro.tuner.tune`.
-    """
-    from ..tuner import tune
-
-    result = tune("layernorm", {"rows": rows, "hidden": hidden}, arch=arch,
-                  **tune_kwargs)
-    return result.build_kernel()
-
-
 def _build_thread_per_row(rows, hidden, threads_per_block, name) -> Kernel:
     if rows % threads_per_block:
         raise ValueError("rows must divide by the block size")

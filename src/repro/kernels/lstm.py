@@ -9,8 +9,6 @@ accumulating both GEMMs into the same register fragments.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 from ..frontend.builder import KernelBuilder
 from ..specs.kernel import Kernel
 from ..tensor.dtypes import FP16
@@ -21,30 +19,6 @@ from .tc_common import WarpMmaEngine
 
 
 def build(cfg: LstmConfig) -> Kernel:
-    """Canonical constructor over the shared config convention."""
-    return build_fused_lstm_cell(cfg.m, cfg.n, cfg.k,
-                                 block_tile=cfg.block_tile,
-                                 warp_grid=cfg.warp_grid,
-                                 activation=cfg.activation, name=cfg.name)
-
-
-def from_tuned(m: int, n: int, k: int, arch: str = "ampere",
-               **tune_kwargs) -> Kernel:
-    """No LSTM tuning space is registered yet; returns the default
-    config (kept so every kernel module exposes the same ``build``/
-    ``from_tuned`` pair)."""
-    return build(LstmConfig(m, n, k))
-
-
-def build_fused_lstm_cell(
-    m: int,
-    n: int,
-    k: int,
-    block_tile: Tuple[int, int, int] = (128, 128, 32),
-    warp_grid: Tuple[int, int] = (2, 2),
-    activation: str = "relu",
-    name: str = "graphene_fused_lstm",
-) -> Kernel:
     """One kernel for ``Y = act(X @ W + H @ R + bias)``.
 
     The paper uses ReLU instead of tanh so library baselines exist;
@@ -52,6 +26,8 @@ def build_fused_lstm_cell(
     which no library kernel provides — Graphene is not limited to the
     library's menu).
     """
+    m, n, k, activation = cfg.m, cfg.n, cfg.k, cfg.activation
+    block_tile, warp_grid = cfg.block_tile, cfg.warp_grid
     bm, bn, bk = block_tile
     wm_count, wn_count = warp_grid
     num_threads = wm_count * wn_count * 32
@@ -61,7 +37,7 @@ def build_fused_lstm_cell(
     if m % bm or n % bn or k % bk:
         raise ValueError("block tile must divide the problem size")
 
-    kb = KernelBuilder(name, (m // bm, n // bn), (num_threads,))
+    kb = KernelBuilder(cfg.name, (m // bm, n // bn), (num_threads,))
     x = kb.param("X", (m, k), FP16)
     w = kb.param("W", (k, n), FP16)
     h = kb.param("H", (m, k), FP16)

@@ -9,8 +9,6 @@ cumulative per-layer cuBLASLt invocations it is compared against.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 from ..frontend.builder import KernelBuilder
 from ..specs.kernel import Kernel
 from ..tensor.dtypes import FP16
@@ -21,22 +19,6 @@ from .tc_common import WarpMmaEngine
 
 
 def build(cfg: MlpConfig) -> Kernel:
-    """Canonical constructor over the shared config convention."""
-    return build_fused_mlp(cfg.m, cfg.hidden, cfg.layers,
-                           block_rows=cfg.block_rows,
-                           warp_grid=cfg.warp_grid,
-                           activation=cfg.activation, name=cfg.name)
-
-
-def build_fused_mlp(
-    m: int,
-    hidden: int,
-    layers: int,
-    block_rows: int = 64,
-    warp_grid: Tuple[int, int] = (2, 2),
-    activation: str = "relu",
-    name: str = "graphene_fused_mlp",
-) -> Kernel:
     """``x -> act(x @ W_l + b_l)`` repeated ``layers`` times, one kernel.
 
     Parameters: ``X [m, hidden]``, per layer ``W{l} [hidden, hidden]``
@@ -44,6 +26,10 @@ def build_fused_mlp(
     ``block_rows`` rows of activations, kept resident in shared memory
     across layers.
     """
+    m, hidden, layers = cfg.m, cfg.hidden, cfg.layers
+    block_rows, warp_grid, activation = (
+        cfg.block_rows, cfg.warp_grid, cfg.activation
+    )
     if m % block_rows:
         raise ValueError("block_rows must divide m")
     if hidden % 16:
@@ -56,7 +42,7 @@ def build_fused_mlp(
     ni_count = hidden // (wn_count * 8)
     ki_count = hidden // 16
 
-    kb = KernelBuilder(name, (m // block_rows,), (num_threads,))
+    kb = KernelBuilder(cfg.name, (m // block_rows,), (num_threads,))
     x = kb.param("X", (m, hidden), FP16)
     weights = [
         kb.param(f"W{l}", (hidden, hidden), FP16) for l in range(layers)
@@ -98,26 +84,6 @@ def build_fused_mlp(
     y_blocks = y.tile((block_rows, None))
     _stage_to_shared_out(kb, smem_x, y_blocks[bid, 0], num_threads, t)
     return kb.build()
-
-
-def from_tuned(m: int, hidden: int, layers: int, arch="ampere",
-               **tune_kwargs) -> Kernel:
-    """Build the fused-MLP kernel the autotuner selects for this problem.
-
-    Runs (or serves from the persistent tuning cache) a
-    :func:`repro.tuner.tune` search over block-row counts, warp grids
-    and fusion depths, then instantiates the winning configuration at
-    full problem scale.  When the tuner picks a fusion depth shallower
-    than ``layers``, the returned kernel covers ``depth`` layers and
-    must be launched ``layers // depth`` times (see
-    ``TuningResult.launches``).  Keyword arguments are forwarded to
-    :func:`repro.tuner.tune`.
-    """
-    from ..tuner import tune
-
-    result = tune("mlp", {"m": m, "hidden": hidden, "layers": layers},
-                  arch=arch, **tune_kwargs)
-    return result.build_kernel()
 
 
 def _stage_to_shared_out(kb, sh, gl_tile, num_threads, t, vec: int = 8):

@@ -1,10 +1,9 @@
 """Optimized data-movement kernels, including the paper's Figure 1.
 
-``build_ldmatrix_kernel`` reproduces the running example of paper
-Section 2: a warp moves a 16x16 fp16 shared-memory tile into 2x4
-registers per thread with a single ``ldmatrix`` instruction, expressed by
-tiling the warp into 2x2 logical groups of 8 threads and assigning each
-group an 8x8 data tile.
+``build`` reproduces the running example of paper Section 2: a warp
+moves a 16x16 fp16 shared-memory tile into 2x4 registers per thread with
+a single ``ldmatrix`` instruction, expressed by tiling the warp into 2x2
+logical groups of 8 threads and assigning each group an 8x8 data tile.
 """
 
 from __future__ import annotations
@@ -20,18 +19,6 @@ from .config import LdmatrixMoveConfig
 
 
 def build(cfg: LdmatrixMoveConfig) -> Kernel:
-    """Canonical constructor over the shared config convention."""
-    return build_ldmatrix_kernel(name=cfg.name)
-
-
-def from_tuned(arch: str = "ampere", **tune_kwargs) -> Kernel:
-    """The ldmatrix reference kernel has nothing to tune; returns the
-    default config (kept so every kernel module exposes the same
-    ``build``/``from_tuned`` pair)."""
-    return build(LdmatrixMoveConfig())
-
-
-def build_ldmatrix_kernel(name: str = "ldmatrix_move") -> Kernel:
     """GL -> SH -> (ldmatrix) RF -> GL round trip for one warp.
 
     The kernel stages a 16x16 fp16 tensor into shared memory, performs
@@ -39,7 +26,7 @@ def build_ldmatrix_kernel(name: str = "ldmatrix_move") -> Kernel:
     each thread's 8 register values to ``out[thread]`` so tests can
     observe the prescribed data-to-thread mapping.
     """
-    kb = KernelBuilder(name, (1,), (32,))
+    kb = KernelBuilder(cfg.name, (1,), (32,))
     src = kb.param("src", (16, 16), FP16)
     out = kb.param("out", (32, 8), FP16)
 
@@ -89,7 +76,7 @@ def ldmatrix_lane_values(src: np.ndarray, lane: int) -> set:
 
 
 def ldmatrix_reference(src: np.ndarray) -> np.ndarray:
-    """The exact (32, 8) dump produced by ``build_ldmatrix_kernel``.
+    """The exact (32, 8) dump produced by ``build``.
 
     Matrix ``q`` of the PTX instruction is sourced by lanes
     ``8q..8q+7``, which under the kernel's 2x2 row-major group

@@ -49,11 +49,3 @@ def build(cfg: SoftmaxConfig) -> Kernel:
     kb.binary("div", vals, rsum, vals)
     kb.move(vals, y_rows[row, 0])
     return kb.build()
-
-
-def from_tuned(rows: int, cols: int, arch: str = "ampere",
-               **tune_kwargs) -> Kernel:
-    """No softmax tuning space is registered yet; returns the default
-    config (kept so every kernel module exposes the same ``build``/
-    ``from_tuned`` pair)."""
-    return build(SoftmaxConfig(rows, cols))

@@ -8,10 +8,7 @@ signature (so every request replays through the same static slots).
 ``serve_catalog()`` builds one family per shipped kernel family using
 the conformance harness's case library — the same kernels and shapes
 the three-way conformance suite pins — and draws requests from the
-family's generator in :mod:`repro.library.problems`.  ``tuned=True``
-rebuilds the tunable families through their ``from_tuned`` entry points
-so the served GEMM is the autotuner's pick (served straight from the
-tuning cache on repeat runs).
+family's generator in :mod:`repro.library.problems`.
 
 ``zipf_schedule()`` samples the heavy-tailed family mix serving
 benchmarks use: a few hot signatures dominating, a long tail keeping
@@ -56,17 +53,11 @@ class ServeFamily:
                 f"outputs={list(self.outputs)})")
 
 
-def serve_catalog(seed: int = 0, tuned: bool = False,
-                  tune_cache=False) -> List[ServeFamily]:
+def serve_catalog(seed: int = 0) -> List[ServeFamily]:
     """One :class:`ServeFamily` per shipped kernel family.
 
     Each family serves its first conformance case's kernel and draws
     requests from the family's problem generator at that case's shape.
-    ``tuned=True`` swaps tunable families' kernels for their
-    ``from_tuned`` builds (``tune_cache`` forwards to
-    :func:`repro.tuner.tune` — pass a :class:`~repro.tuner.TuningCache`
-    or path to serve straight from a persisted tuning run; the default
-    ``False`` keeps tuning in-memory).
     """
     from ..library.problems import draw
 
@@ -76,12 +67,9 @@ def serve_catalog(seed: int = 0, tuned: bool = False,
         if case.family in seen:
             continue
         seen.add(case.family)
-        kernel = case.kernel
-        if tuned:
-            kernel = _tuned_kernel(case, tune_cache) or kernel
         families.append(ServeFamily(
             name=case.family,
-            kernel=kernel,
+            kernel=case.kernel,
             arch=case.arch,
             symbols=case.symbols,
             outputs=case.outputs,
@@ -93,19 +81,6 @@ def serve_catalog(seed: int = 0, tuned: bool = False,
             f"case library no longer covers families: {sorted(missing)}"
         )
     return families
-
-
-def _tuned_kernel(case, tune_cache):
-    """The autotuned kernel for a case's family/shape, if it has a space."""
-    if case.family != "gemm":
-        # Only the GEMM family registers a tuning space today; the
-        # other from_tuned entry points return their default configs,
-        # which the case kernels already are.
-        return None
-    from ..kernels import gemm_optimized
-
-    return gemm_optimized.from_tuned(**case.shape, arch=case.arch,
-                                     cache=tune_cache)
 
 
 def zipf_schedule(

@@ -14,8 +14,9 @@ Closes the loop the paper leaves to "automated search" (Sections 1, 6):
 4. winners persist in a JSON :class:`~repro.tuner.cache.TuningCache`
    keyed by (family, shape, dtype, arch), so repeated runs are instant.
 
-The CLI leaderboard lives in ``python -m repro.tuner``; kernels expose
-the result through their ``from_tuned(...)`` constructors.
+The CLI leaderboard lives in ``python -m repro.tuner``.  ``tune(...)``
+is the one way to get a tuned kernel: ``tune(...).build_kernel()``
+builds the winner's family config at the full problem shape.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .search import (
     perfmodel_oracle,
 )
 from .space import Candidate, ConfigSpace, GemmSpace, LayernormSpace, \
-    MlpSpace, SPACES, get_space, swizzle_for_row
+    MlpSpace, SPACES, get_space
 from . import families as _families  # noqa: F401  registers the other spaces
 from .families import (
     FmhaSpace, GemmEpilogueSpace, LstmSpace, MovesSpace, NaiveGemmSpace,
@@ -310,5 +311,5 @@ __all__ = [
     "SoftmaxSpace", "TRANSFER_NEIGHBOURS", "TuningCache", "TuningError",
     "TuningResult", "beam_search", "check_candidate", "default_cache_path",
     "exhaustive_search", "get_space", "perfmodel_oracle", "resolve_arch",
-    "run_gate", "swizzle_for_row", "tune",
+    "run_gate", "tune",
 ]

@@ -20,16 +20,11 @@ from __future__ import annotations
 from typing import Iterator, Optional, Sequence, Tuple
 
 from ..arch.gpu import Architecture
+from ..kernels import build as build_kernel
 from ..kernels.config import (
-    LstmConfig, NaiveGemmConfig, SoftmaxConfig,
+    FmhaConfig, GemmEpilogueConfig, LdmatrixMoveConfig, LstmConfig,
+    NaiveGemmConfig, ParametricGemmConfig, SoftmaxConfig,
 )
-from ..kernels.epilogue import build_gemm_epilogue
-from ..kernels.fmha import build_fused_fmha
-from ..kernels.gemm import build as build_naive_gemm
-from ..kernels.gemm_parametric import build_parametric_gemm
-from ..kernels.lstm import build as build_lstm
-from ..kernels.moves import build_ldmatrix_kernel
-from ..kernels.softmax import build as build_softmax
 from ..specs.kernel import Kernel
 from .space import (
     MAX_THREADS_PER_BLOCK, REGISTER_BUDGET, Candidate, ConfigSpace,
@@ -65,7 +60,7 @@ class SoftmaxSpace(ConfigSpace):
 
     def build(self, candidate, shape) -> Kernel:
         tpb = candidate.params["threads_per_block"]
-        return build_softmax(SoftmaxConfig(
+        return build_kernel(SoftmaxConfig(
             shape["rows"], shape["cols"], threads_per_block=tpb,
             name=f"graphene_softmax_t{tpb}",
         ))
@@ -127,7 +122,7 @@ class LstmSpace(ConfigSpace):
     def build(self, candidate, shape) -> Kernel:
         bm, bn, bk = candidate.params["block_tile"]
         wm, wn = candidate.params["warp_grid"]
-        return build_lstm(LstmConfig(
+        return build_kernel(LstmConfig(
             shape["m"], shape["n"], shape["k"],
             block_tile=candidate.params["block_tile"],
             warp_grid=candidate.params["warp_grid"],
@@ -178,11 +173,11 @@ class FmhaSpace(ConfigSpace):
 
     def build(self, candidate, shape) -> Kernel:
         kv_chunk = candidate.params["kv_chunk"]
-        return build_fused_fmha(
+        return build_kernel(FmhaConfig(
             shape["batch_heads"], shape["seq"], shape["head_dim"],
             q_tile=self.Q_TILE, kv_chunk=kv_chunk,
             name=f"graphene_fmha_kv{kv_chunk}",
-        )
+        ))
 
     def verification_shape(self, candidate, shape):
         kv_chunk = candidate.params["kv_chunk"]
@@ -240,7 +235,7 @@ class NaiveGemmSpace(ConfigSpace):
 
     def build(self, candidate, shape) -> Kernel:
         bm, bn = candidate.params["block"]
-        return build_naive_gemm(NaiveGemmConfig(
+        return build_kernel(NaiveGemmConfig(
             shape["m"], shape["n"], shape["k"],
             grid=(shape["m"] // bm, shape["n"] // bn),
             threads=candidate.params["threads"],
@@ -293,11 +288,11 @@ class ParametricGemmSpace(ConfigSpace):
 
     def build(self, candidate, shape) -> Kernel:
         row_tile = candidate.params["row_tile"]
-        return build_parametric_gemm(
+        return build_kernel(ParametricGemmConfig(
             shape["n"], shape["k"], row_tile=row_tile,
             max_grid_rows=self._grid_rows(shape["m"], row_tile),
             threads=candidate.params["threads"],
-        )
+        ))
 
     def coarse_key(self, candidate):
         return ("row_tile", candidate.params["row_tile"])
@@ -351,11 +346,11 @@ class GemmEpilogueSpace(ConfigSpace):
             f"no legal GEMM-epilogue configuration for shape {shape}")
 
     def build(self, candidate, shape) -> Kernel:
-        return build_gemm_epilogue(
+        return build_kernel(GemmEpilogueConfig(
             shape["m"], shape["n"], shape["k"], arch="ampere",
             block_tile=candidate.params["block_tile"],
             warp_grid=candidate.params["warp_grid"],
-        )
+        ))
 
     def coarse_key(self, candidate):
         return ("block_tile", candidate.params["block_tile"])
@@ -381,7 +376,7 @@ class MovesSpace(ConfigSpace):
         return Candidate(self.family, variant="ldmatrix_x4")
 
     def build(self, candidate, shape) -> Kernel:
-        return build_ldmatrix_kernel()
+        return build_kernel(LdmatrixMoveConfig())
 
     def verification_shape(self, candidate, shape):
         return {}

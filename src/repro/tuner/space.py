@@ -17,21 +17,19 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..arch.gpu import Architecture
-from ..kernels.gemm_optimized import (
-    build_ampere_tc_gemm, build_ampere_tc_gemm_pipelined,
-    build_volta_tc_gemm, validate_gemm_config,
+from ..kernels import build as build_kernel
+from ..kernels.config import (
+    GemmConfig, HopperFp8GemmConfig, LayernormConfig, MlpConfig,
+    Sparse24GemmConfig,
 )
-from ..kernels.config import LayernormConfig
+from ..kernels.gemm_optimized import validate_gemm_config
 from ..kernels.hopper import (
-    WG_K_F16, WG_K_FP8, WG_M, WG_N, build_hopper_fp8_gemm,
-    build_hopper_sparse24_gemm, validate_hopper_gemm_config,
+    WG_K_F16, WG_K_FP8, WG_M, WG_N, validate_hopper_gemm_config,
 )
-from ..kernels.layernorm import build as build_layernorm_cfg
-from ..kernels.mlp import build_fused_mlp
 from ..layout.linear import (
     LinearLayoutError, prove_conflict_free, synthesize_bank_swizzle,
 )
-from ..layout.swizzle import IDENTITY_SWIZZLE, Swizzle
+from ..layout.swizzle import IDENTITY_SWIZZLE
 from ..specs.kernel import Kernel
 
 #: CUDA's hard per-block thread limit.
@@ -150,24 +148,6 @@ class ConfigSpace:
         kernels bind their symbolic dimensions here); ``None`` for the
         fully static families."""
         return None
-
-
-def swizzle_for_row(row_elems: int) -> Optional[Swizzle]:
-    """Bank-spreading XOR swizzle for fp16 rows of ``row_elems`` values.
-
-    *Synthesized, not searched*: delegates to
-    :func:`repro.layout.linear.synthesize_bank_swizzle`, which solves
-    for the cheapest CuTe ``Swizzle<bits, 3, shift>`` whose bank-group
-    matrix has full rank over F2 — the certificate that every ldmatrix
-    wavefront touches all eight bank groups.  (The earlier closed-form
-    guess ``shift = log2(rows) - 3`` sourced its XOR field from *inside*
-    the 128-byte wavefront for 16/32-element rows, provably leaving
-    rank deficient — the simulator measured those "swizzled" layouts at
-    the same conflict count as naive row-major.)  Returns ``None`` when
-    rows are not a power of two or the identity layout is already
-    conflict-free.
-    """
-    return synthesize_bank_swizzle(row_elems)
 
 
 def certified_conflict_free(row_elems: int) -> bool:
@@ -350,30 +330,20 @@ class GemmSpace(ConfigSpace):
         )
 
     def build(self, candidate, shape) -> Kernel:
-        m, n, k = shape["m"], shape["n"], shape["k"]
         params = candidate.params
         if "qp_tile" in params:
-            return build_volta_tc_gemm(
-                m, n, k, block_tile=params["block_tile"],
-                warp_grid=params["warp_grid"], qp_tile=params["qp_tile"],
-            )
-        bm, bn, bk = params["block_tile"]
-        if params.get("swizzle"):
-            swizzle_a = swizzle_for_row(bk) or IDENTITY_SWIZZLE
-            swizzle_b = swizzle_for_row(bn) or IDENTITY_SWIZZLE
+            knobs = dict(variant="volta", qp_tile=params["qp_tile"])
         else:
-            swizzle_a = swizzle_b = IDENTITY_SWIZZLE
-        if params.get("stages", 1) == 2:
-            return build_ampere_tc_gemm_pipelined(
-                m, n, k, block_tile=params["block_tile"],
-                warp_grid=params["warp_grid"],
-                swizzle_a=swizzle_a, swizzle_b=swizzle_b,
+            pipelined = params.get("stages", 1) == 2
+            knobs = dict(
+                variant="ampere_pipelined" if pipelined else "ampere",
+                swizzled=bool(params.get("swizzle")),
             )
-        return build_ampere_tc_gemm(
-            m, n, k, block_tile=params["block_tile"],
-            warp_grid=params["warp_grid"],
-            swizzle_a=swizzle_a, swizzle_b=swizzle_b,
-        )
+        return build_kernel(GemmConfig(
+            shape["m"], shape["n"], shape["k"],
+            block_tile=params["block_tile"], warp_grid=params["warp_grid"],
+            **knobs,
+        ))
 
     def coarse_key(self, candidate):
         return ("block_tile", candidate.params["block_tile"])
@@ -419,7 +389,7 @@ class LayernormSpace(ConfigSpace):
     def build(self, candidate, shape) -> Kernel:
         mode = "wpr" if candidate.params["warp_per_row"] else "tpr"
         wpb = candidate.params["warps_per_block"]
-        return build_layernorm_cfg(LayernormConfig(
+        return build_kernel(LayernormConfig(
             shape["rows"], shape["hidden"],
             warps_per_block=wpb,
             warp_per_row=candidate.params["warp_per_row"],
@@ -494,12 +464,12 @@ class MlpSpace(ConfigSpace):
         # One kernel fuses `depth` layers; verification shapes may carry
         # fewer total layers than the tuned depth.
         depth = min(candidate.params["depth"], shape["layers"])
-        return build_fused_mlp(
+        return build_kernel(MlpConfig(
             shape["m"], shape["hidden"], depth,
             block_rows=candidate.params["block_rows"],
             warp_grid=candidate.params["warp_grid"],
             name=f"graphene_fused_mlp_d{depth}",
-        )
+        ))
 
     def coarse_key(self, candidate):
         return ("rows_depth", candidate.params["block_rows"],
@@ -566,11 +536,11 @@ class HopperFp8GemmSpace(ConfigSpace):
         )
 
     def build(self, candidate, shape) -> Kernel:
-        return build_hopper_fp8_gemm(
+        return build_kernel(HopperFp8GemmConfig(
             shape["m"], shape["n"], shape["k"],
             block_k=candidate.params["block_k"],
             two_stage_acc=candidate.params["two_stage_acc"],
-        )
+        ))
 
     def coarse_key(self, candidate):
         return ("block_k", candidate.params["block_k"])
@@ -625,10 +595,10 @@ class Sparse24GemmSpace(ConfigSpace):
         )
 
     def build(self, candidate, shape) -> Kernel:
-        return build_hopper_sparse24_gemm(
+        return build_kernel(Sparse24GemmConfig(
             shape["m"], shape["n"], shape["k"],
             block_k=candidate.params["block_k"],
-        )
+        ))
 
     def coarse_key(self, candidate):
         return ("block_k", candidate.params["block_k"])

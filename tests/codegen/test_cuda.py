@@ -8,9 +8,8 @@ from repro.arch import AMPERE, VOLTA
 from repro.codegen import CudaGenerator
 from repro.frontend.builder import KernelBuilder
 from repro.ir.expr import Const, Var
-from repro.kernels import NaiveGemmConfig, build
+from repro.kernels import LdmatrixMoveConfig, NaiveGemmConfig, build
 from repro.kernels.gemm_optimized import build_ampere_tc_gemm, build_volta_tc_gemm
-from repro.kernels.moves import build_ldmatrix_kernel
 from repro.tensor import FP16, FP32, RF, SH
 
 
@@ -54,7 +53,7 @@ class TestLdmatrixKernel:
 
     def setup_method(self):
         self.code = CudaGenerator(AMPERE).generate(
-            build_ldmatrix_kernel()
+            build(LdmatrixMoveConfig())
         ).code
 
     def test_inline_ptx(self):

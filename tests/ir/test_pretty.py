@@ -1,8 +1,7 @@
 """Tests for the Graphene IR pretty-printer."""
 
 from repro.ir.pretty import format_kernel, format_spec
-from repro.kernels import NaiveGemmConfig, build
-from repro.kernels.moves import build_ldmatrix_kernel
+from repro.kernels import LdmatrixMoveConfig, NaiveGemmConfig, build
 
 
 class TestNaiveGemmListing:
@@ -31,7 +30,7 @@ class TestNaiveGemmListing:
 
 class TestLdmatrixListing:
     def setup_method(self):
-        self.text = format_kernel(build_ldmatrix_kernel())
+        self.text = format_kernel(build(LdmatrixMoveConfig()))
 
     def test_allocations_listed(self):
         assert "Allocate %smem:[(16,16):(16,1)].fp16.SH" in self.text

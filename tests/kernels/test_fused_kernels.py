@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from repro.arch import AMPERE
-from repro.kernels.fmha import build_fused_fmha
-from repro.kernels.lstm import build_fused_lstm_cell
-from repro.kernels.mlp import build_fused_mlp
-from repro.kernels import LayernormConfig, SoftmaxConfig, build
+from repro.kernels import (
+    FmhaConfig, LayernormConfig, LstmConfig, MlpConfig, SoftmaxConfig, build,
+)
 from repro.library import funcs
 from repro.sim import Simulator
 
@@ -21,7 +20,7 @@ def random_fp16(*shape, scale=1.0):
 
 class TestFusedMLP:
     def _run(self, m, hidden, layers, **kw):
-        kernel = build_fused_mlp(m, hidden, layers, **kw)
+        kernel = build(MlpConfig(m, hidden, layers, **kw))
         x = random_fp16(m, hidden)
         weights = [random_fp16(hidden, hidden) for _ in range(layers)]
         biases = [random_fp16(hidden) for _ in range(layers)]
@@ -48,14 +47,14 @@ class TestFusedMLP:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            build_fused_mlp(100, 16, 2, block_rows=16)
+            build(MlpConfig(100, 16, 2, block_rows=16))
 
 
 class TestFusedLSTM:
     def test_matches_reference(self):
         m, n, k = 32, 16, 32
-        kernel = build_fused_lstm_cell(m, n, k, block_tile=(32, 16, 16),
-                                       warp_grid=(1, 1))
+        kernel = build(LstmConfig(m, n, k, block_tile=(32, 16, 16),
+                                  warp_grid=(1, 1)))
         x, w = random_fp16(m, k), random_fp16(k, n)
         h, r = random_fp16(m, k), random_fp16(k, n)
         bias = random_fp16(n)
@@ -69,10 +68,10 @@ class TestFusedLSTM:
     def test_tanh_variant(self):
         """The fusion libraries cannot provide (paper Section 6)."""
         m, n, k = 32, 16, 16
-        kernel = build_fused_lstm_cell(
+        kernel = build(LstmConfig(
             m, n, k, block_tile=(32, 16, 16), warp_grid=(1, 1),
             activation="tanh",
-        )
+        ))
         x, w = random_fp16(m, k), random_fp16(k, n)
         h, r = random_fp16(m, k), random_fp16(k, n)
         bias = random_fp16(n)
@@ -149,7 +148,7 @@ class TestSoftmax:
 
 class TestFusedFMHA:
     def _run(self, batch_heads, seq, dim, kv_chunk):
-        kernel = build_fused_fmha(batch_heads, seq, dim, kv_chunk=kv_chunk)
+        kernel = build(FmhaConfig(batch_heads, seq, dim, kv_chunk=kv_chunk))
         q = random_fp16(batch_heads * seq, dim)
         k = random_fp16(batch_heads * seq, dim)
         v = random_fp16(batch_heads * seq, dim)
@@ -172,7 +171,7 @@ class TestFusedFMHA:
         q = (rng.random((2 * 16, 16)) - 0.5).astype(np.float16)
         k = (rng.random((2 * 16, 16)) - 0.5).astype(np.float16)
         v = (rng.random((2 * 16, 16)) - 0.5).astype(np.float16)
-        kernel = build_fused_fmha(2, 16, 16, kv_chunk=16)
+        kernel = build(FmhaConfig(2, 16, 16, kv_chunk=16))
 
         def head0(q2, k2, v2):
             o = np.zeros_like(q2)
@@ -188,6 +187,6 @@ class TestFusedFMHA:
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            build_fused_fmha(1, 30, 16, kv_chunk=16)
+            build(FmhaConfig(1, 30, 16, kv_chunk=16))
         with pytest.raises(ValueError):
-            build_fused_fmha(1, 32, 16, q_tile=32)
+            build(FmhaConfig(1, 32, 16, q_tile=32))

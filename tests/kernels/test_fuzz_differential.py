@@ -23,12 +23,10 @@ from repro.arch import AMPERE
 from repro.codegen import CudaGenerator
 from repro.codegen.emulator import emulate
 from repro.conformance import default_cases
-from repro.kernels.fmha import build_fused_fmha
 from repro.kernels.gemm_optimized import build_ampere_tc_gemm
-from repro.kernels.lstm import build_fused_lstm_cell
-from repro.kernels.mlp import build_fused_mlp
 from repro.kernels import (
-    LayernormConfig, NaiveGemmConfig, SoftmaxConfig, build,
+    FmhaConfig, LayernormConfig, LstmConfig, MlpConfig, NaiveGemmConfig,
+    SoftmaxConfig, build,
 )
 from repro.layout import Layout
 from repro.layout.linear import LinearLayoutError, to_linear
@@ -115,9 +113,9 @@ def trial_mlp(shapes, np_rng):
     for layer in range(cfg["layers"]):
         arrays[f"W{layer}"] = weights[layer]
         arrays[f"bias{layer}"] = biases[layer]
-    kernel = build_fused_mlp(cfg["m"], cfg["hidden"], cfg["layers"],
+    kernel = build(MlpConfig(cfg["m"], cfg["hidden"], cfg["layers"],
                              block_rows=cfg["block_rows"],
-                             warp_grid=cfg["warp_grid"])
+                             warp_grid=cfg["warp_grid"]))
     _run(kernel, arrays)
     return y, funcs.mlp(x, weights, biases), 0.05
 
@@ -129,8 +127,8 @@ def trial_fmha(shapes, np_rng):
     k = _fp16(np_rng, rows, cfg["head_dim"])
     v = _fp16(np_rng, rows, cfg["head_dim"])
     o = np.zeros_like(q)
-    kernel = build_fused_fmha(cfg["batch_heads"], cfg["seq"],
-                              cfg["head_dim"], kv_chunk=cfg["kv_chunk"])
+    kernel = build(FmhaConfig(cfg["batch_heads"], cfg["seq"],
+                              cfg["head_dim"], kv_chunk=cfg["kv_chunk"]))
     _run(kernel, {"Q": q, "K": k, "V": v, "O": o})
     ref = funcs.multi_head_attention(q, k, v, heads=cfg["batch_heads"])
     return o, ref, 0.02
@@ -144,9 +142,9 @@ def trial_lstm(shapes, np_rng):
     r = _fp16(np_rng, cfg["k"], cfg["n"])
     bias = _fp16(np_rng, cfg["n"])
     y = np.zeros((cfg["m"], cfg["n"]), dtype=np.float16)
-    kernel = build_fused_lstm_cell(cfg["m"], cfg["n"], cfg["k"],
-                                   block_tile=cfg["block_tile"],
-                                   warp_grid=cfg["warp_grid"])
+    kernel = build(LstmConfig(cfg["m"], cfg["n"], cfg["k"],
+                              block_tile=cfg["block_tile"],
+                              warp_grid=cfg["warp_grid"]))
     _run(kernel, {"X": x, "W": w, "H": h, "R": r, "bias": bias, "Y": y})
     return y, funcs.lstm_cell(x, w, h, r, bias), 0.02
 

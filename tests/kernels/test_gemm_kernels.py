@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from repro.arch import AMPERE, VOLTA
-from repro.kernels.epilogue import build_gemm_epilogue
-from repro.kernels import NaiveGemmConfig, build
+from repro.kernels import GemmEpilogueConfig, NaiveGemmConfig, build
 from repro.kernels.gemm_optimized import (
     build_ampere_tc_gemm, build_volta_tc_gemm,
 )
@@ -130,10 +129,10 @@ class TestFusedEpilogues:
         m, n, k = 32, 16, 16
         a, b = random_fp16(m, k), random_fp16(k, n)
         bias = random_fp16(n)
-        kernel = build_gemm_epilogue(
+        kernel = build(GemmEpilogueConfig(
             m, n, k, "ampere", bias=True, activation=activation,
             block_tile=(32, 16, 16), warp_grid=(1, 1),
-        )
+        ))
         c = run_gemm(kernel, AMPERE, a, b, extra={"bias": bias})
         ref = fn(a.astype(np.float32) @ b.astype(np.float32)
                  + bias.astype(np.float32))
@@ -142,10 +141,10 @@ class TestFusedEpilogues:
     def test_activation_without_bias(self):
         m, n, k = 32, 16, 16
         a, b = random_fp16(m, k), random_fp16(k, n)
-        kernel = build_gemm_epilogue(
+        kernel = build(GemmEpilogueConfig(
             m, n, k, "ampere", bias=False, activation="relu",
             block_tile=(32, 16, 16), warp_grid=(1, 1),
-        )
+        ))
         c = run_gemm(kernel, AMPERE, a, b)
         ref = np.maximum(a.astype(np.float32) @ b.astype(np.float32), 0)
         assert np.abs(c - ref).max() < 0.01
@@ -154,10 +153,10 @@ class TestFusedEpilogues:
         m, n, k = 32, 32, 16
         a, b = random_fp16(m, k), random_fp16(k, n)
         bias = random_fp16(n)
-        kernel = build_gemm_epilogue(
+        kernel = build(GemmEpilogueConfig(
             m, n, k, "volta", bias=True, activation="relu",
             block_tile=(32, 32, 8), warp_grid=(1, 1),
-        )
+        ))
         c = run_gemm(kernel, VOLTA, a, b, extra={"bias": bias})
         ref = np.maximum(a.astype(np.float32) @ b.astype(np.float32)
                          + bias.astype(np.float32), 0)
@@ -165,4 +164,4 @@ class TestFusedEpilogues:
 
     def test_unknown_arch_rejected(self):
         with pytest.raises(ValueError):
-            build_gemm_epilogue(32, 32, 32, "hopper")
+            build(GemmEpilogueConfig(32, 32, 32, "hopper"))

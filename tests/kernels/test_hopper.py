@@ -12,9 +12,8 @@ import pytest
 from repro.arch import HOPPER
 from repro.frontend.builder import KernelBuilder
 from repro.ir.expr import Var
+from repro.kernels import HopperFp8GemmConfig, Sparse24GemmConfig, build
 from repro.kernels.hopper import (
-    build_hopper_fp8_gemm,
-    build_hopper_sparse24_gemm,
     compress_24,
     decompress_24,
     random_sparse24,
@@ -195,8 +194,8 @@ class TestHopperGemmSmoke:
             (rng.random((m, k)) - 0.5).astype(np.float32))
         b = FP8E4M3.quantize(
             (rng.random((k, n)) - 0.5).astype(np.float32))
-        kernel = build_hopper_fp8_gemm(m, n, k, block_k=32,
-                                       two_stage_acc=two_stage)
+        kernel = build(HopperFp8GemmConfig(m, n, k, block_k=32,
+                                           two_stage_acc=two_stage))
         result = _run(kernel, {"A": a, "B": b,
                                "C": np.zeros((m, n), np.float16)})
         want = (a.astype(np.float64) @ b.astype(np.float64)
@@ -216,7 +215,7 @@ class TestHopperGemmSmoke:
         rng = np.random.default_rng(3)
         a = (rng.random((m, k)) - 0.5).astype(np.float32)
         b = (rng.random((k, n)) - 0.5).astype(np.float32)
-        kernel = build_hopper_fp8_gemm(m, n, k, block_k=32)
+        kernel = build(HopperFp8GemmConfig(m, n, k, block_k=32))
         result = _run(kernel, {"A": a, "B": b,
                                "C": np.zeros((m, n), np.float16)})
         got = result.machine.global_array("C").reshape(m, n)
@@ -235,7 +234,7 @@ class TestHopperGemmSmoke:
         rng = np.random.default_rng(1)
         comp, meta, dense = random_sparse24(rng, m, k)
         b = (rng.random((k, n)) - 0.5).astype(np.float16)
-        kernel = build_hopper_sparse24_gemm(m, n, k, block_k=16)
+        kernel = build(Sparse24GemmConfig(m, n, k, block_k=16))
         result = _run(kernel, {
             "A_comp": comp, "A_meta": meta, "B": b,
             "C": np.zeros((m, n), np.float16),
@@ -251,7 +250,7 @@ class TestHopperGemmSmoke:
         rng = np.random.default_rng(2)
         comp, meta, _ = random_sparse24(rng, m, k)
         meta[0, 0] = 7  # out of 0..3
-        kernel = build_hopper_sparse24_gemm(m, n, k, block_k=16)
+        kernel = build(Sparse24GemmConfig(m, n, k, block_k=16))
         with pytest.raises(ValueError, match="0..3"):
             _run(kernel, {
                 "A_comp": comp, "A_meta": meta,

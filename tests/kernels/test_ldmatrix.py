@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.arch import AMPERE
-from repro.kernels.moves import (
-    build_ldmatrix_kernel, ldmatrix_lane_values, ldmatrix_reference,
-)
+from repro.kernels import LdmatrixMoveConfig, build
+from repro.kernels.moves import ldmatrix_lane_values, ldmatrix_reference
 from repro.sim import Simulator
 
 
 def run_kernel(src):
     out = np.zeros((32, 8), dtype=np.float16)
-    Simulator(AMPERE).run(build_ldmatrix_kernel(), {"src": src, "out": out})
+    Simulator(AMPERE).run(build(LdmatrixMoveConfig()),
+                          {"src": src, "out": out})
     return out
 
 
@@ -67,7 +67,8 @@ class TestGeneratedCode:
     def test_matches_paper_figure_1c_structure(self):
         from repro.codegen import CudaGenerator
 
-        code = CudaGenerator(AMPERE).generate(build_ldmatrix_kernel()).code
+        code = CudaGenerator(AMPERE).generate(
+            build(LdmatrixMoveConfig())).code
         # One ldmatrix, one address conversion, a warp-staging copy.
         assert code.count("ldmatrix.sync.aligned.m8n8.x4.shared.b16") == 1
         assert code.count("__cvta_generic_to_shared") == 1

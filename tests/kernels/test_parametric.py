@@ -7,7 +7,7 @@ import pytest
 
 from repro.arch import AMPERE
 from repro.codegen import CudaGenerator
-from repro.kernels.gemm_parametric import build_parametric_gemm
+from repro.kernels import ParametricGemmConfig, build
 from repro.sim import SimulationError, Simulator
 
 
@@ -25,9 +25,9 @@ def run(kernel, m, n, k, seed=0):
 class TestParametricGemm:
     def setup_method(self):
         self.n, self.k = 16, 8
-        self.kernel = build_parametric_gemm(
+        self.kernel = build(ParametricGemmConfig(
             self.n, self.k, row_tile=8, max_grid_rows=4, threads=16
-        )
+        ))
 
     @pytest.mark.parametrize("m", [1, 5, 8, 17, 31, 32])
     def test_any_row_count_one_kernel(self, m):
@@ -68,4 +68,4 @@ class TestParametricGemm:
 
     def test_threads_must_divide_n(self):
         with pytest.raises(ValueError):
-            build_parametric_gemm(15, 8, threads=16)
+            build(ParametricGemmConfig(15, 8, threads=16))

@@ -100,7 +100,42 @@ class TestRetiredSurface:
         assert not hasattr(softmax, "build_softmax")
         for module in (gemm, layernorm, softmax):
             assert hasattr(module, "build")
-            assert hasattr(module, "from_tuned")
+            # Tuned kernels come from ``tune(...).build_kernel()`` only.
+            assert not hasattr(module, "from_tuned")
+
+    def test_every_kernel_builder_is_registered(self):
+        """A family's kernel has one description, its config: every
+        public ``build*`` function of a kernel module is a config
+        builder in ``BUILDERS``, apart from the three GEMM bodies the
+        epilogue kernel composes."""
+        import inspect
+
+        import repro.kernels
+        from repro.kernels import BUILDERS, gemm_optimized
+
+        bodies = {gemm_optimized.build_ampere_tc_gemm,
+                  gemm_optimized.build_ampere_tc_gemm_pipelined,
+                  gemm_optimized.build_volta_tc_gemm}
+        registered = set(BUILDERS.values())
+        unregistered = []
+        for info in pkgutil.iter_modules(repro.kernels.__path__,
+                                         prefix="repro.kernels."):
+            module = importlib.import_module(info.name)
+            for name, fn in inspect.getmembers(module, inspect.isfunction):
+                if (name.startswith("build") and fn.__module__ == info.name
+                        and fn not in registered and fn not in bodies):
+                    unregistered.append(f"{info.name}.{name}")
+        assert not unregistered, unregistered
+
+    def test_config_surface_trimmed(self):
+        import repro.kernels
+        import repro.tuner
+        from repro.kernels import KernelConfig
+
+        assert not hasattr(repro.kernels, "CONFIG_TYPES")
+        assert not hasattr(KernelConfig, "as_dict")
+        assert not hasattr(KernelConfig, "replace")
+        assert "swizzle_for_row" not in repro.tuner.__all__
 
     def test_run_result_delegation_gone(self):
         from repro.arch import AMPERE

@@ -164,3 +164,48 @@ def test_no_tuner_space_overrides_verification_problem():
         "tuner spaces overriding verification_problem:\n"
         + "\n".join(offenders)
     )
+
+
+KERNELS = SRC / "repro" / "kernels"
+
+
+def test_no_from_tuned_in_kernels():
+    """Tuned kernels come from ``repro.tuner.tune(...).build_kernel()``;
+    no kernel module wraps the tuner in a ``from_tuned``."""
+    offenders = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted(KERNELS.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == "from_tuned"
+    ]
+    assert not offenders, "from_tuned defined in:\n" + "\n".join(offenders)
+
+
+def _imports_tuner(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.startswith("repro.tuner")
+                   for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        if node.level == 0:
+            return module.startswith("repro.tuner")
+        if node.level == 2:  # ``from ..tuner`` inside repro/kernels
+            return module.split(".")[0] == "tuner" or (
+                not module and any(a.name == "tuner" for a in node.names))
+    return False
+
+
+def test_kernels_never_import_the_tuner():
+    """The tuner builds kernels, never the other way round, so a rule
+    such as the GEMM staging swizzle has one home in the kernel
+    library instead of a copy in each package."""
+    offenders = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted(KERNELS.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if _imports_tuner(node)
+    ]
+    assert not offenders, (
+        "repro/kernels modules importing repro.tuner:\n"
+        + "\n".join(offenders)
+    )

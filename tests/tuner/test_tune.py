@@ -3,7 +3,7 @@
 import pytest
 
 from repro.arch import AMPERE
-from repro.kernels.gemm_optimized import build_ampere_tc_gemm, from_tuned
+from repro.kernels.gemm_optimized import build_ampere_tc_gemm
 from repro.tuner import TuningError, resolve_arch, tune
 from repro.tuner.__main__ import main
 from repro.tuner.cache import TuningCache
@@ -47,9 +47,9 @@ class TestTuneSmoke:
         assert not forced.cache_hit
         assert forced.search_stats is not None
 
-    def test_from_tuned_builds_full_scale_kernel(self, tiny_space):
-        kernel = from_tuned(256, 256, 128, arch="sm86", space=tiny_space,
-                            cache=False)
+    def test_build_kernel_builds_full_scale_kernel(self, tiny_space):
+        kernel = tune("gemm", {"m": 256, "n": 256, "k": 128}, "sm86",
+                      space=tiny_space, cache=False).build_kernel()
         assert kernel.name == "graphene_gemm_sm86"
 
     def test_winner_not_worse_than_default_on_tiny_space(self, tiny_space):
