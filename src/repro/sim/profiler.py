@@ -36,8 +36,14 @@ Counter semantics (documented so calibration tolerances mean something):
   JSON (one track per thread-block, load it at ``chrome://tracing`` or
   https://ui.perfetto.dev).
 
-Every execution is charged in one vectorized pass per ``(memory,
-buffer, kind)`` group.  The bank rule
+The hooks only buffer.  Executions are charged many at a time, once
+:data:`FLUSH_ELEMENTS` offset elements are buffered and again when the
+launch finishes: all buffered rows are segmented in one pass, and each
+``(memory, buffer, kind)`` class is keyed by execution, so sectors,
+wavefronts and active lanes stay per execution and per instruction
+while the numpy work runs once per batch.  The timeline is replayed in
+order at the same time, so where the buffer is cut never shows in the
+counters, the events or any execution's transactions.  The bank rule
 itself is :func:`repro.sim.banks.wavefront_degrees`, shared with the
 static helpers in that module: those analyse one hypothetical access
 pattern; the profiler measures every access the kernel actually
@@ -392,59 +398,47 @@ class KernelProfile:
 #: Emission kinds of TMA bulk tensor traffic.
 _BULK_KINDS = frozenset(("bulk_read", "bulk_write"))
 
+#: Buffered offset elements at which the profiler charges what it
+#: holds, at the end of the execution that reaches it: the buffer never
+#: holds more than this plus one execution's elements.
+FLUSH_ELEMENTS = 8_192
 
-def _segments(recs):
-    """Split one group's live rows into vector segments.
+#: The memory families a record is charged as; register-file records
+#: only mark their lanes active.
+_GLOBAL, _SHARED, _BULK = 0, 1, 2
 
-    ``recs`` holds ``(itemsize, offsets, mask)`` per record.  A segment
-    is a run of consecutive live element offsets no wider than
-    :data:`MAX_VECTOR_BYTES`, greedily capped: one load/store of its
-    lane, so a strided access degenerates into per-element segments.
-    Returns per-segment ``(row, index, lo, nbytes)``: its row (numbered
-    across ``recs``), its position in the row, first byte and size.
-    One record whose live rows are each one run, as most emission
-    entries are, is cut by columns; :func:`_split_runs` flattens the
-    rest element by element.
+#: The counters a batch derives per execution, then adds per label.  A
+#: ``*_load_*`` column is followed by its ``*_store_*`` twin.
+_COLUMNS = (
+    "executions", "issues", "active_lanes", "lane_slots",
+    "global_load_transactions", "global_store_transactions",
+    "global_load_bytes", "global_store_bytes",
+    "shared_load_transactions", "shared_store_transactions",
+    "shared_load_wavefronts", "shared_store_wavefronts",
+    "shared_load_bytes", "shared_store_bytes",
+    "bulk_load_transactions", "bulk_store_transactions",
+    "bulk_load_bytes", "bulk_store_bytes",
+)
+_COL = {name: i for i, name in enumerate(_COLUMNS)}
+
+
+def _pair(name: str) -> slice:
+    """The load and store columns of ``name``'s load column."""
+    return slice(_COL[name], _COL[name] + 2)
+
+
+def _split_runs(vals, counts, itemsize):
+    """Split rows of live element offsets into vector segments.
+
+    Row ``r`` is the next ``counts[r]`` entries of ``vals``, elements of
+    ``itemsize[r]`` bytes.  A segment is a run of consecutive offsets no
+    wider than :data:`MAX_VECTOR_BYTES`, greedily capped: one load/store
+    of its lane, so a strided access degenerates into per-element
+    segments.  Returns per-segment ``(row, index, lo, nbytes)``: its
+    row, its position in the row, first byte and size.
     """
-    if len(recs) > 1:
-        return _split_runs(recs)
-    ((itemsize, offsets, mask),) = recs
-    nrows, width = offsets.shape
-    row = np.arange(nrows)
-    if width == 1 and mask is not None:
-        # A row's only element is live or the row is empty.
-        row = np.flatnonzero(mask[:, 0])
-        mask = None
-    if mask is None and (offsets[:, 1:] - offsets[:, :-1] == 1).all():
-        # Every row is one run: cut it at the same columns.
-        cap = max(1, MAX_VECTOR_BYTES // itemsize)
-        if width <= cap:
-            return (row, np.zeros(row.size, dtype=np.int64),
-                    offsets[row, 0] * itemsize,
-                    np.full(row.size, width * itemsize, dtype=np.int64))
-        count = np.minimum(width - np.arange(0, width, cap), cap)
-        return (np.repeat(row, count.size),
-                np.tile(np.arange(count.size), nrows),
-                offsets[:, ::cap].ravel() * itemsize,
-                np.tile(count * itemsize, nrows))
-    return _split_runs(recs)
-
-
-def _split_runs(recs):
-    """:func:`_segments` over the records' live elements, flattened."""
-    vals, counts, sizes = [], [], []
-    for itemsize, offsets, mask in recs:
-        nrows, width = offsets.shape
-        if mask is None:
-            vals.append(offsets.ravel())
-            counts += [width] * nrows
-        else:
-            vals.append(offsets[mask])
-            counts += mask.sum(axis=1).tolist()
-        sizes += [itemsize] * nrows
-    vals = np.concatenate(vals)
-    rows = np.repeat(np.arange(len(counts)), counts)
-    itemsize = np.repeat(sizes, counts)
+    rows = np.repeat(np.arange(counts.size), counts)
+    itemsize = np.repeat(itemsize, counts)
     cap = np.maximum(1, MAX_VECTOR_BYTES // itemsize)
     n = vals.size
     idx = np.arange(n)
@@ -475,13 +469,21 @@ def _blocks(lo, nbytes, unit: int):
     return seg, grid[seg, col]
 
 
-def _distinct_blocks(keys, lo, nbytes, unit: int) -> int:
-    """Distinct ``(key, unit-byte block)`` pairs over all segments."""
+def _distinct(keys):
+    """The distinct values of ``keys``, sorted."""
+    keys = np.sort(keys)
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
+
+
+def _distinct_blocks(keys, lo, nbytes, unit: int):
+    """The key of every distinct ``(key, unit-byte block)`` pair over
+    all segments."""
     seg, blocks = _blocks(lo, nbytes, unit)
     low = int(blocks.min())
     span = int(blocks.max()) - low + 1
-    pairs = np.sort(keys[seg] * span + (blocks - low))
-    return 1 + int(np.count_nonzero(pairs[1:] != pairs[:-1]))
+    return _distinct(keys[seg] * span + (blocks - low)) // span
 
 
 def _wavefronts(instr, nbytes):
@@ -511,6 +513,127 @@ def _wavefronts(instr, nbytes):
     return int(wave[-1]) + 1, wave
 
 
+def _charge_rows(rows, nexec: int, per_exec: np.ndarray):
+    """Charge the buffered rows into ``per_exec``'s memory columns;
+    return per-execution ``(active lanes, transactions)``."""
+    classes: Dict[tuple, int] = {}
+    class_family, class_store = [], []
+    rec_exec, rec_nrows, rec_width, rec_masked = [], [], [], []
+    rec_class, itemsize, lanes, sums = [], [], [], []
+    vals, arrival = [], []
+    for e, tensor, kind, lane_ids, offsets, mask, order in rows:
+        nrows, width = offsets.shape
+        rec_exec.append(e)
+        rec_nrows.append(nrows)
+        rec_width.append(width)
+        rec_masked.append(mask is not None)
+        lanes.append(lane_ids)
+        if mask is not None:
+            sums.append(mask.sum(axis=1))
+        if kind in _BULK_KINDS:
+            family = _BULK  # TMA traffic: bulk counters, no bank rule
+        elif tensor.mem is SH:
+            family = _SHARED
+        elif tensor.mem is GL:
+            family = _GLOBAL
+        else:
+            rec_class.append(-1)
+            continue  # register-file traffic costs no transactions
+        key = (family, tensor.buffer, kind)
+        if key not in classes:
+            classes[key] = len(classes)
+            class_family.append(family)
+            class_store.append(kind not in ("read", "bulk_read"))
+        rec_class.append(classes[key])
+        itemsize.append(tensor.dtype.bytes)
+        vals.append(offsets.ravel() if mask is None else offsets[mask])
+        arrival.append(order)
+    rec_nrows = np.array(rec_nrows)
+    row_exec = np.repeat(rec_exec, rec_nrows)
+    lanes = np.concatenate(lanes)
+    counts = np.repeat(rec_width, rec_nrows)
+    if sums:
+        counts[np.repeat(rec_masked, rec_nrows)] = np.concatenate(sums)
+    live = counts > 0
+    span = int(lanes.max()) + 1
+    active = np.bincount(_distinct(row_exec[live] * span + lanes[live])
+                         // span, minlength=nexec)
+    transactions = np.zeros(nexec, dtype=np.int64)
+    if not vals:
+        return active, transactions
+
+    # Memory rows: every row but the register file's.
+    rec_class = np.array(rec_class)
+    row_class = np.repeat(rec_class, rec_nrows)
+    memory = row_class >= 0
+    row_class, row_exec = row_class[memory], row_exec[memory]
+    row_warp = lanes[memory] // WARP_SIZE
+    counts = counts[memory]
+    row, index, lo, nbytes = _split_runs(
+        np.concatenate(vals), counts,
+        np.repeat(itemsize, rec_nrows[rec_class >= 0]))
+    if not row.size:
+        return active, transactions
+    class_family = np.array(class_family)
+    class_store = np.array(class_store, dtype=np.int64)
+    seg_class = row_class[row]
+    seg_family = class_family[seg_class]
+    seg_exec = row_exec[row]
+
+    def by_exec(owner, weights=None):
+        """Per-execution (load, store) sums over ``(class *
+        nexec + execution)`` owners."""
+        keys = owner % nexec * 2 + class_store[owner // nexec]
+        return np.bincount(keys, weights, minlength=2 * nexec) \
+            .reshape(nexec, 2)
+
+    def instructions(sel, owner):
+        """Key each selected segment by its owner, warp and position
+        in its row; return the keys and the keys per owner."""
+        warp = row_warp[row[sel]]
+        position = index[sel]
+        warps, positions = int(warp.max()) + 1, int(position.max()) + 1
+        return ((owner * warps + warp) * positions + position,
+                warps * positions)
+
+    for family, name in ((_GLOBAL, "global"), (_SHARED, "shared"),
+                         (_BULK, "bulk")):
+        sel = np.flatnonzero(seg_family == family)
+        if not sel.size:
+            continue
+        # A segment's owner is its class and execution.
+        owner = seg_class[sel] * nexec + seg_exec[sel]
+        per_exec[:, _pair(f"{name}_load_bytes")] = by_exec(
+            owner, nbytes[sel])
+        if family == _BULK:
+            rows_hit = _distinct_blocks(row[sel], lo[sel], nbytes[sel],
+                                        GLOBAL_SECTOR_BYTES)
+            tx = by_exec(row_class[rows_hit] * nexec + row_exec[rows_hit])
+        elif family == _GLOBAL:
+            instr, per_owner = instructions(sel, owner)
+            tx = by_exec(_distinct_blocks(
+                instr, lo[sel], nbytes[sel], GLOBAL_SECTOR_BYTES)
+                // per_owner)
+        else:
+            instr, per_owner = instructions(sel, owner)
+            # lexsort is stable: segments that share an instruction
+            # and an arrival slot keep their record order.
+            order = np.lexsort((np.concatenate(arrival)[row[sel]],
+                                instr))
+            instr = instr[order]
+            seg_lo, seg_nbytes = lo[sel][order], nbytes[sel][order]
+            waves, wave = _wavefronts(instr, seg_nbytes)
+            seg, words = _blocks(seg_lo, seg_nbytes, SMEM_BANK_BYTES)
+            degree = wavefront_degrees(wave[seg], words, waves)
+            owner = instr[np.flatnonzero(np.diff(wave, prepend=-1))] \
+                // per_owner
+            tx = by_exec(owner, degree)
+            per_exec[:, _pair("shared_load_wavefronts")] = by_exec(owner)
+        per_exec[:, _pair(f"{name}_load_transactions")] = tx
+        transactions = transactions + tx.sum(axis=1).astype(np.int64)
+    return active, transactions
+
+
 class Profiler:
     """Observes one simulated launch; produces a :class:`KernelProfile`.
 
@@ -518,7 +641,10 @@ class Profiler:
     ``begin_block`` per thread-block, then per atomic-spec lane-group
     execution ``begin_exec`` / :meth:`record_rows` calls / ``end_exec``;
     ``barrier`` at sync statements; finally ``finish`` returns the
-    profile.
+    profile.  The hooks only buffer: ``end_exec`` charges every
+    buffered execution together once the buffer reaches
+    :data:`FLUSH_ELEMENTS`, and ``finish`` charges the rest, so all of
+    the profiler's numpy work runs inside those two methods.
     """
 
     def __init__(self, max_events: int = 100_000):
@@ -530,7 +656,15 @@ class Profiler:
         self._block = 0
         self._clocks: Dict[int, int] = {}
         self._cur: Optional[Tuple[str, str, int, int]] = None
-        self._records: List[tuple] = []
+        #: Buffered ``record_rows`` entries, each led by its execution's
+        #: index into ``_execs``.
+        self._rows: List[tuple] = []
+        #: Buffered executions: ``(label, instruction, width, slots)``.
+        self._execs: List[tuple] = []
+        #: The buffered timeline, in order: ``(block, label, execution)``
+        #: per execution and ``(block, label, -1)`` per barrier.
+        self._stream: List[tuple] = []
+        self._buffered = 0
 
     # -- lifecycle hooks ----------------------------------------------------
     def begin_block(self, block_id: int) -> None:
@@ -540,7 +674,6 @@ class Profiler:
     def begin_exec(self, label: str, instruction: str, width: int,
                    lanes: Sequence[int]) -> None:
         self._cur = (label, instruction, width, len(lanes))
-        self._records = []
 
     def record_rows(self, tensor, kind: str, lanes: np.ndarray,
                     offsets: np.ndarray, mask: Optional[np.ndarray],
@@ -552,34 +685,30 @@ class Profiler:
         ``order[i]`` is row ``i``'s arrival slot in the execution; rows
         that share a slot arrive in call order.  Shared-memory segments
         pack into wavefronts in arrival order, as the lanes issue them.
+        The arrays are kept until the execution is charged, so they
+        must not change afterwards.
         """
         if self._cur is not None and offsets.size:
-            self._records.append((tensor, kind, lanes, offsets, mask, order))
+            self._rows.append((len(self._execs), tensor, kind, lanes,
+                               offsets, mask, order))
+            self._buffered += offsets.size
 
     def barrier(self, scope: str) -> None:
         self._barriers[scope] = self._barriers.get(scope, 0) + 1
-        self._advance(f"barrier.{scope}", 1)
+        self._stream.append((self._block, f"barrier.{scope}", -1))
 
     def end_exec(self) -> None:
-        cur, records = self._cur, self._records
-        self._cur, self._records = None, []
+        cur, self._cur = self._cur, None
         if cur is None:
             return
-        label, instruction, width, slots = cur
-        counters = self._specs.get(label)
-        if counters is None:
-            counters = self._specs[label] = SpecCounters(
-                label, instruction, width
-            )
-        counters.executions += 1
-        active, transactions = self._account(counters, records)
-        counters.issues += 1 if width > 1 else active
-        counters.active_lanes += active
-        counters.lane_slots += slots
-        self._advance(label, max(1, transactions))
+        self._stream.append((self._block, cur[0], len(self._execs)))
+        self._execs.append(cur)
+        if self._buffered >= FLUSH_ELEMENTS:
+            self._flush()
 
     def finish(self, kernel_name: str, grid_size: int,
                block_size: int) -> KernelProfile:
+        self._flush()
         profile = KernelProfile(kernel_name, grid_size, block_size)
         profile.specs = self._specs
         profile.barriers = self._barriers
@@ -588,94 +717,68 @@ class Profiler:
         return profile
 
     # -- accounting ---------------------------------------------------------
-    def _account(self, counters: SpecCounters, records) -> Tuple[int, int]:
-        """Charge one execution's records; return (active lanes,
-        transactions).
+    def _flush(self) -> None:
+        """Charge the buffered executions, then replay their timeline."""
+        rows, execs, stream = self._rows, self._execs, self._stream
+        if not stream:
+            return
+        self._rows, self._execs, self._stream = [], [], []
+        self._buffered = 0
+        transactions = []
+        if execs:
+            transactions = self._charge_batch(rows, execs)[1].tolist()
+        for block, label, e in stream:
+            self._advance(block, label,
+                          1 if e < 0 else max(1, transactions[e]))
+
+    def _charge_batch(self, rows, execs):
+        """Charge buffered executions together; return each one's
+        ``(active lanes, transactions)`` as two arrays.
 
         A lane is active when any of its rows has a live element,
         register-file rows included; those cost no memory transactions.
+        Every other row is charged with its ``(memory, buffer, kind)``
+        class.  Bulk (TMA) rows each count the distinct 32B sectors they
+        touch.  Otherwise segment ``i`` of every row of a warp in one
+        execution forms one issued instruction: a global one counts
+        distinct 32B sectors, a shared one packs into wavefronts in
+        arrival order and counts bank serialisation.
         """
-        groups: Dict[tuple, list] = {}
-        live_lanes = []
-        for tensor, kind, lanes, offsets, mask, order in records:
-            live_lanes.append(lanes if mask is None
-                              else lanes[mask.any(axis=1)])
-            if kind in _BULK_KINDS:
-                shared = None  # TMA traffic: bulk counters, no bank rule
-            elif tensor.mem is SH:
-                shared = True
-            elif tensor.mem is GL:
-                shared = False
-            else:
-                continue  # register-file traffic costs no transactions
-            groups.setdefault((shared, tensor.buffer, kind), []).append(
-                (tensor.dtype.bytes, lanes, offsets, mask, order))
-        if not live_lanes:
-            return 0, 0
-        active = len(set(np.concatenate(live_lanes).tolist()))
-        total = 0
-        for (shared, _buffer, kind), recs in groups.items():
-            total += self._charge(counters, shared, kind, recs)
-        return active, total
-
-    def _charge(self, counters: SpecCounters, shared: Optional[bool],
-                kind: str, recs) -> int:
-        """One ``(memory, buffer, kind)`` group: return its transactions.
-
-        Bulk (TMA) rows each count the distinct 32B sectors they touch.
-        Otherwise segment ``i`` of every row of a warp forms one issued
-        instruction: a global one counts distinct 32B sectors, a shared
-        one packs into wavefronts and counts bank serialisation.
-        """
-        row, index, lo, nbytes = _segments(
-            [(itemsize, offsets, mask)
-             for itemsize, _lanes, offsets, mask, _arrival in recs])
-        if not row.size:
-            return 0
-        moved = int(nbytes.sum())
-        if shared is None:
-            sectors = _distinct_blocks(row, lo, nbytes, GLOBAL_SECTOR_BYTES)
-            if kind == "bulk_read":
-                counters.bulk_load_transactions += sectors
-                counters.bulk_load_bytes += moved
-            else:
-                counters.bulk_store_transactions += sectors
-                counters.bulk_store_bytes += moved
-            return sectors
-        lanes = np.concatenate([rec[1] for rec in recs])
-        instr = (lanes // WARP_SIZE)[row] * (int(index.max()) + 1) + index
-        if not shared:
-            sectors = _distinct_blocks(instr, lo, nbytes, GLOBAL_SECTOR_BYTES)
-            if kind == "read":
-                counters.global_load_transactions += sectors
-                counters.global_load_bytes += moved
-            else:
-                counters.global_store_transactions += sectors
-                counters.global_store_bytes += moved
-            return sectors
-        arrival = np.concatenate([rec[4] for rec in recs])
-        # lexsort is stable: segments that share an instruction and an
-        # arrival slot keep their record order.
-        order = np.lexsort((arrival[row], instr))
-        lo, nbytes = lo[order], nbytes[order]
-        waves, wave = _wavefronts(instr[order], nbytes)
-        seg, words = _blocks(lo, nbytes, SMEM_BANK_BYTES)
-        degree = int(wavefront_degrees(wave[seg], words, waves).sum())
-        if kind == "read":
-            counters.shared_load_transactions += degree
-            counters.shared_load_wavefronts += waves
-            counters.shared_load_bank_conflicts += degree - waves
-            counters.shared_load_bytes += moved
-        else:
-            counters.shared_store_transactions += degree
-            counters.shared_store_wavefronts += waves
-            counters.shared_store_bank_conflicts += degree - waves
-            counters.shared_store_bytes += moved
-        return degree
+        nexec = len(execs)
+        labels, instructions, widths, slots = zip(*execs)
+        per_exec = np.zeros((nexec, len(_COLUMNS)), dtype=np.int64)
+        per_exec[:, _COL["executions"]] = 1
+        per_exec[:, _COL["lane_slots"]] = slots
+        active = transactions = np.zeros(nexec, dtype=np.int64)
+        if rows:
+            active, transactions = _charge_rows(rows, nexec, per_exec)
+        per_exec[:, _COL["active_lanes"]] = active
+        per_exec[:, _COL["issues"]] = np.where(np.array(widths) > 1, 1,
+                                               active)
+        specs = self._specs
+        index: Dict[str, int] = {}
+        counters: List[SpecCounters] = []
+        for label, instruction, width in zip(labels, instructions, widths):
+            if label not in index:
+                index[label] = len(counters)
+                if label not in specs:
+                    specs[label] = SpecCounters(label, instruction, width)
+                counters.append(specs[label])
+        per_label = np.zeros((len(counters), len(_COLUMNS)), dtype=np.int64)
+        np.add.at(per_label, [index[label] for label in labels], per_exec)
+        for c, totals in zip(counters, per_label.tolist()):
+            for name, value in zip(_COLUMNS, totals):
+                setattr(c, name, getattr(c, name) + value)
+            c.shared_load_bank_conflicts += (
+                totals[_COL["shared_load_transactions"]]
+                - totals[_COL["shared_load_wavefronts"]])
+            c.shared_store_bank_conflicts += (
+                totals[_COL["shared_store_transactions"]]
+                - totals[_COL["shared_store_wavefronts"]])
+        return active, transactions
 
     # -- timeline -----------------------------------------------------------
-    def _advance(self, label: str, duration: int) -> None:
-        block = self._block
+    def _advance(self, block: int, label: str, duration: int) -> None:
         start = self._clocks.get(block, 0)
         self._clocks[block] = start + duration
         events = self._events

@@ -1,7 +1,7 @@
 """The vectorized profiler accounting against the per-lane walk.
 
-:class:`repro.sim.profiler.Profiler` charges each ``(memory, buffer,
-kind)`` group of an execution in one numpy pass.  It must give the same
+:class:`repro.sim.profiler.Profiler` charges buffered executions
+together, one numpy pass per batch.  It must give the same
 counters, the same timeline, and the same per-execution active-lane and
 transaction counts as the per-lane walk it replaced (kept in
 :mod:`tests.sim.profiler_oracle`).  Two sources feed both classes one
@@ -36,16 +36,30 @@ from .test_plan import _fuzz_cases
 
 class _Shipped(Profiler):
     """The shipped profiler, keeping what each execution's accounting
-    returned."""
+    returned.
+
+    The shipped profiler charges buffered executions in batches, so the
+    per-execution results come out of each batch, and reading the
+    counters mid-launch charges what is buffered first.
+    """
 
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
         self.returned = []
 
-    def _account(self, counters, records):
-        result = super()._account(counters, records)
-        self.returned.append(result)
-        return result
+    def _charge_batch(self, rows, execs):
+        active, transactions = super()._charge_batch(rows, execs)
+        self.returned += zip(active.tolist(), transactions.tolist())
+        return active, transactions
+
+    @property
+    def _specs(self):
+        self._flush()
+        return self.__dict__["_specs"]
+
+    @_specs.setter
+    def _specs(self, specs):
+        self.__dict__["_specs"] = specs
 
 
 class Tee:
