@@ -37,7 +37,7 @@ from ..kernels.config import (
     Sparse24GemmConfig,
 )
 from ..kernels import build
-from ..sim import RunOptions, Simulator
+from ..sim import Simulator
 
 #: Emulator and simulator share numerics by construction; allow only
 #: fp32 round-off between them.
@@ -189,22 +189,20 @@ FAMILIES = tuple(sorted({family for _, family, _, _, _ in _ROWS}))
 
 
 # -- execution ---------------------------------------------------------------------
-def run_case(case: Case, source: Optional[KernelSource] = None,
-             options: Optional[RunOptions] = None) -> CaseResult:
+def run_case(case: Case,
+             source: Optional[KernelSource] = None) -> CaseResult:
     """Run one case all three ways and compare elementwise.
 
     ``source`` overrides the generated CUDA (used by the mutation
-    self-check); by default the kernel is printed fresh.  ``options``
-    selects the simulator's observers; the default sanitizes
-    (conformance doubles as a race sweep over every family).
+    self-check); by default the kernel is printed fresh.  The simulator
+    run is sanitized: conformance doubles as a race sweep over every
+    family.
     """
     if source is None:
         source = CudaGenerator(case.arch).generate(case.kernel)
-    if options is None:
-        options = RunOptions(sanitize=True)
     sim_arrays = {k: v.copy() for k, v in case.arrays.items()}
     Simulator(case.arch).run(case.kernel, sim_arrays,
-                             symbols=case.symbols, options=options)
+                             symbols=case.symbols, sanitize=True)
     emu_arrays = {k: v.copy() for k, v in case.arrays.items()}
     try:
         emulate(source, emu_arrays, case.symbols)
@@ -238,9 +236,8 @@ def run_case(case: Case, source: Optional[KernelSource] = None,
 
 
 def run_all(cases: Optional[Sequence[Case]] = None,
-            seed: int = 0,
-            options: Optional[RunOptions] = None) -> List[CaseResult]:
-    return [run_case(c, options=options)
+            seed: int = 0) -> List[CaseResult]:
+    return [run_case(c)
             for c in (cases if cases is not None else default_cases(seed))]
 
 

@@ -41,7 +41,6 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..perfmodel import PerfModel, count_kernel
-from ..sim import RunOptions
 from ..sim.profiler import KernelProfile
 from ..sim.sanitizer import Sanitizer
 from ..sim.trace import RecordedLaunch
@@ -203,24 +202,24 @@ class _Arena:
 
 
 def execute(lowered: LoweredNetwork, *, bindings: Optional[Dict] = None,
-            options: Optional[RunOptions] = None, check: bool = True,
+            sanitize=False, check: bool = True,
             seed: int = 0) -> NetworkRun:
     """Run a lowered network end to end; see module docstring.
 
     ``check=True`` (the default) raises :class:`GroupCheckError` on the
     first group whose executed output is not bit-identical to its numpy
-    reference.
+    reference.  ``sanitize`` is ``Simulator.run``'s; launches are
+    always profiled.
     """
     inputs = _seed_inputs(lowered, bindings, seed)
-    options = options or RunOptions()
     with lowered.lock:
         if lowered.arena is None:
             lowered.arena = _Arena(lowered)
-        return _execute(lowered, lowered.arena, inputs, options, check)
+        return _execute(lowered, lowered.arena, inputs, sanitize, check)
 
 
 def _execute(lowered: LoweredNetwork, arena: _Arena,
-             inputs: Dict[str, np.ndarray], options: RunOptions,
+             inputs: Dict[str, np.ndarray], sanitize,
              check: bool) -> NetworkRun:
     graph = lowered.graph
     arch = lowered.arch
@@ -237,9 +236,9 @@ def _execute(lowered: LoweredNetwork, arena: _Arena,
         measured = 0.0
         roles: List[str] = []
         profiles: List[KernelProfile] = []
-        findings = [] if options.sanitize else None
+        findings = [] if sanitize else None
         for launch in gl.launches:
-            run = arena.launches[index].run(options.sanitize, profile=True)
+            run = arena.launches[index].run(sanitize, profile=True)
             seconds = arena.seconds[index]
             if seconds is None:
                 seconds = arena.seconds[index] = _measured_seconds(

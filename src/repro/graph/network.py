@@ -306,16 +306,16 @@ class Network:
                                       tune=tune, seed=seed, cache=cache)
         return self._lowered
 
-    def run(self, bindings: Optional[Dict] = None, options=None, *,
+    def run(self, bindings: Optional[Dict] = None, *, sanitize=False,
             check: bool = True, seed: int = 0):
         """Execute end-to-end on the simulator.
 
         ``bindings`` maps graph-input edge names to numpy arrays
         (missing inputs are seeded deterministically from ``seed``; the
-        caller's arrays are never mutated); ``options`` is a
-        :class:`repro.sim.RunOptions`.  With ``check`` every fusion
-        group is verified bit-exactly against its numpy reference.
-        Lowers with defaults on first use.
+        caller's arrays are never mutated); ``sanitize`` is
+        ``Simulator.run``'s (``False``, ``True`` or ``"report"``).  With
+        ``check`` every fusion group is verified bit-exactly against its
+        numpy reference.  Lowers with defaults on first use.
 
         The first run of a lowering runs every launch's compiled plan
         with the profiler attached, records its execution trace and
@@ -325,9 +325,9 @@ class Network:
         timeline, sanitizer verdict, control flow and index arrays
         depend only on addresses, which the lowering fixes and the
         tensor data never steers.  So every run's groups carry the
-        held per-launch ``profiles`` (``options.profile`` adds
-        nothing), and a run with ``options.sanitize`` carries each
-        launch's held sanitizer ``findings``: the first such run
+        held per-launch ``profiles`` (a network run always profiles, so
+        it takes no ``profile``), and a run with ``sanitize`` carries
+        each launch's held sanitizer ``findings``: the first such run
         measures them with one plan replay per launch, later ones
         replay traces, and ``sanitize=True`` raises the held reports
         every time.  Group checks run on every pass; runs of one
@@ -338,7 +338,7 @@ class Network:
 
         if self._lowered is None:
             self.lower()
-        return execute(self._lowered, bindings=bindings, options=options,
+        return execute(self._lowered, bindings=bindings, sanitize=sanitize,
                        check=check, seed=seed)
 
     def __repr__(self):

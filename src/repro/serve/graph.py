@@ -15,10 +15,11 @@ launch's trace in the capture's one execution.  A replay is then
 and is bit-identical to a fresh ``Simulator.run`` of the same bindings:
 same output bytes, same profiler counters, same sanitizer verdicts.
 Observations are values of the launch signature, so the graph holds
-them: capture measures the ones its ``options`` ask for (never raising
-a sanitizer verdict), a replay asking for one it lacks runs one plan
-replay to measure it, and every other replay returns the held ones.
-The graph keeps no plan.
+them: capture measures the ones its ``sanitize``/``profile`` keywords
+ask for (never raising a sanitizer verdict), a replay asking for one it
+lacks runs one plan replay to measure it, and every other replay
+returns the held ones.  Replays fall back to the capture's keywords.
+The graph keeps no plan; it owns the lock its replays take turns on.
 
 Graphs pickle: the recorded launch is rebuilt deterministically on load
 from the (picklable) kernel, so a captured graph can travel to a worker
@@ -27,6 +28,7 @@ process and serve there.
 
 from __future__ import annotations
 
+import threading
 import time
 from typing import Dict, NamedTuple, Optional, Tuple
 
@@ -34,7 +36,6 @@ import numpy as np
 
 from ..sim.errors import SimulationError
 from ..sim.interp import RunResult
-from ..sim.options import RunOptions
 from ..sim.plan import kernel_fingerprint
 from ..sim.trace import RecordedLaunch, record_trace
 from ..tensor.memspace import GL
@@ -85,18 +86,19 @@ class CapturedGraph:
     except the contents of the static slots, which each replay
     overwrites wholesale, and the observations its launch holds.
     Because replays mutate the slots, a single graph must not be
-    replayed concurrently — the serving layer holds a per-graph lock.
+    replayed concurrently: callers hold its :attr:`lock`.
     """
 
     @classmethod
     def capture(cls, kernel, arch, symbols: Optional[Dict[str, int]],
-                bindings: Dict[str, np.ndarray],
-                options: Optional[RunOptions] = None) -> "CapturedGraph":
+                bindings: Dict[str, np.ndarray], *, sanitize=False,
+                profile=False) -> "CapturedGraph":
         """Capture ``kernel`` at this launch signature.
 
         ``bindings`` provides the parameter arrays whose shapes/dtypes
         fix the static-slot geometry (contents are copied in as the
         slots' initial state but every replay overwrites them).
+        ``sanitize`` and ``profile`` are the replays' defaults.
         """
         start = time.perf_counter()
         self = cls.__new__(cls)
@@ -109,16 +111,18 @@ class CapturedGraph:
             for t in spec.outputs:
                 if t.mem == GL:
                     written.add(t.buffer)
-        self.options = options if options is not None else RunOptions()
+        self.sanitize = sanitize
+        self.profile = profile
         self.slots = slots
+        #: Held by whoever replays this graph: replays overwrite slots.
+        self.lock = threading.Lock()
         # Capture is the launch's first execution (slot contents are
         # scratch until the first copy-in): it records the trace, by
-        # this module's name for ``record_trace``, and holds the
-        # options' observations without judging them.
+        # this module's name for ``record_trace``, and holds the asked-
+        # for observations without judging them.
         self.launch = RecordedLaunch(kernel, arch, slots, symbols,
                                      record=record_trace)
-        self.launch.run("report" if self.options.sanitize else False,
-                        self.options.profile)
+        self.launch.run("report" if sanitize else False, profile)
         self.trace = self.launch.trace
         self.key = graph_key(kernel, arch, self.launch.symbols, slots)
         self.output_params = tuple(
@@ -168,7 +172,8 @@ class CapturedGraph:
         """Copy bindings in, replay the captured launch, return the run.
 
         Bit-identical to ``Simulator.run(kernel, bindings, symbols)``
-        with this graph's options: the returned
+        with the same ``sanitize``/``profile`` (``None`` takes the
+        capture's): the returned
         :class:`~repro.sim.interp.RunResult` carries a machine whose
         global buffers are the static slots, and the launch's held
         sanitizer findings and profile (measured by one plan replay the
@@ -177,9 +182,9 @@ class CapturedGraph:
         mutated; read results via :meth:`outputs`.
         """
         if sanitize is None:
-            sanitize = self.options.sanitize
+            sanitize = self.sanitize
         if profile is None:
-            profile = self.options.profile
+            profile = self.profile
         self._copy_in(bindings)
         self.replay_count += 1
         return self.launch.run(sanitize, profile)
@@ -201,14 +206,16 @@ class CapturedGraph:
             "kernel": launch.kernel,
             "arch": launch.arch,
             "symbols": launch.symbols,
-            "options": self.options,
+            "sanitize": self.sanitize,
+            "profile": self.profile,
             "slots": self.slots,
         }
 
     def __setstate__(self, state):
         rebuilt = CapturedGraph.capture(
             state["kernel"], state["arch"], state["symbols"],
-            state["slots"], options=state["options"],
+            state["slots"], sanitize=state["sanitize"],
+            profile=state["profile"],
         )
         self.__dict__.update(rebuilt.__dict__)
 

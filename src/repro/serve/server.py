@@ -12,9 +12,10 @@ The serving loop mirrors a batching inference server:
   the byte-budgeted :class:`~repro.serve.cache.GraphCache` (capturing
   on miss — one capture per signature, concurrent across signatures)
   and replays each request through the graph's static slots under the
-  graph's lock.  Different signatures replay in parallel; numpy
-  releases the GIL inside the batched gathers/scatters, so worker
-  threads genuinely overlap.
+  graph's own lock (an evicted graph takes its lock with it).
+  Different signatures replay in parallel; numpy releases the GIL
+  inside the batched gathers/scatters, so worker threads genuinely
+  overlap.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from ..sim.options import RunOptions
 from .cache import DEFAULT_BUDGET_BYTES, GraphCache
 from .graph import CapturedGraph, GraphKey, graph_key
 from .metrics import ServerMetrics
@@ -57,9 +57,11 @@ class KernelServer:
         budget_bytes: int = DEFAULT_BUDGET_BYTES,
         batch_window_s: float = 0.002,
         max_batch: int = 32,
-        options: Optional[RunOptions] = None,
+        sanitize=False,
+        profile=False,
     ):
-        self.options = options if options is not None else RunOptions()
+        self.sanitize = sanitize
+        self.profile = profile
         self.graph_cache = GraphCache(budget_bytes)
         self.metrics = ServerMetrics()
         self.batch_window_s = batch_window_s
@@ -71,8 +73,6 @@ class KernelServer:
         self._queue: "deque[Tuple[ServeRequest, Future]]" = deque()
         self._cond = threading.Condition()
         self._closing = False
-        self._graph_locks: Dict[GraphKey, threading.Lock] = {}
-        self._locks_guard = threading.Lock()
         self._pool = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="serve-batch")
         self._dispatcher = threading.Thread(
@@ -160,10 +160,6 @@ class KernelServer:
                     self.metrics.on_batch(len(chunk))
                     self._pool.submit(self._run_batch, key, chunk)
 
-    def _graph_lock(self, key: GraphKey) -> threading.Lock:
-        with self._locks_guard:
-            return self._graph_locks.setdefault(key, threading.Lock())
-
     def _run_batch(self, key: GraphKey,
                    group: List[Tuple[ServeRequest, Future]]) -> None:
         request0 = group[0][0]
@@ -172,7 +168,7 @@ class KernelServer:
         def capture() -> CapturedGraph:
             graph = CapturedGraph.capture(
                 fam.kernel, fam.arch, request0.symbols, request0.bindings,
-                options=self.options,
+                sanitize=self.sanitize, profile=self.profile,
             )
             self.metrics.on_capture(graph.capture_seconds)
             return graph
@@ -184,7 +180,7 @@ class KernelServer:
                 self.metrics.on_failure()
                 future.set_exception(exc)
             return
-        with self._graph_lock(key):
+        with graph.lock:
             for request, future in group:
                 started = time.perf_counter()
                 try:

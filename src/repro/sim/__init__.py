@@ -4,7 +4,6 @@ from .access import compile_expr
 from .errors import SimulationError
 from .interp import RunResult, Simulator, bind_launch
 from .machine import Machine
-from .options import RunOptions
 from .plan import (
     CacheStats, LaunchPlan, PlanCache, kernel_fingerprint, plan_cache_key,
 )
@@ -17,7 +16,6 @@ __all__ = [
     "compile_expr",
     "RunResult", "SimulationError", "Simulator", "bind_launch",
     "Machine",
-    "RunOptions",
     "CacheStats", "LaunchPlan", "PlanCache", "kernel_fingerprint",
     "plan_cache_key",
     "KernelProfile", "Profiler", "SpecCounters",

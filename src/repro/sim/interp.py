@@ -18,12 +18,19 @@ every element access, advances barrier epochs at sync statements
 instead of ignoring them, and the run raises
 :class:`~repro.sim.sanitizer.SanitizerError` on any race,
 out-of-bounds access, uninitialized read, or divergent barrier.
+``run(..., profile=True)`` attaches the instruction profiler.
+
+Those two keywords are the only way to ask for observers, here and in
+every layer above.  :func:`observed_run` is the one observed plan
+execution: ``Simulator.run`` and
+:class:`~repro.sim.trace.RecordedLaunch` (captured graphs, lowered
+networks) both launch through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -31,7 +38,6 @@ from ..specs.kernel import Kernel
 from ..tensor.memspace import GL
 from .errors import SimulationError
 from .machine import Machine
-from .options import RunOptions
 from .plan import PlanCache
 from .profiler import KernelProfile, Profiler
 from .sanitizer import Sanitizer
@@ -39,29 +45,12 @@ from .sanitizer import Sanitizer
 
 @dataclass
 class RunResult:
-    """Everything one simulated launch produced.
-
-    ``Simulator.run`` historically returned the bare :class:`Machine`;
-    with the sanitizer and profiler a launch now has three outputs, so
-    they travel together.  Access the machine explicitly as
-    ``result.machine`` — the transitional attribute fall-through (which
-    warned with ``DeprecationWarning``) has been removed.
-    """
+    """Everything one simulated launch produced: the machine (for
+    post-mortem inspection) and the observers' output."""
 
     machine: Machine
     sanitizer: Optional[Sanitizer] = None
     profile: Optional[KernelProfile] = None
-
-    def __getattr__(self, name):
-        if not name.startswith("_") and hasattr(self.machine, name):
-            raise AttributeError(
-                f"{type(self).__name__} has no attribute {name!r}: the "
-                f"machine delegation shim was removed — use "
-                f"result.machine.{name} instead"
-            )
-        raise AttributeError(
-            f"{type(self).__name__!s} has no attribute {name!r}"
-        )
 
 
 def bind_launch(kernel, bindings, symbols, machine, sanitizer=None):
@@ -120,6 +109,40 @@ def bind_launch(kernel, bindings, symbols, machine, sanitizer=None):
             sanitizer.declare(alloc.buffer, alloc.mem, cosize)
 
 
+def observed_run(kernel, bindings, symbols, plan_for: Callable, *,
+                 sanitize=False, profile=False, record=None):
+    """Execute one launch's plan once, with the asked-for observers.
+
+    The one observed plan execution behind ``Simulator.run`` and
+    :class:`~repro.sim.trace.RecordedLaunch`: a fresh machine and
+    observers, :func:`bind_launch` (so a bad binding raises before any
+    plan compiles), ``plan_for()`` for the plan, then one plan replay,
+    or ``record(plan, machine, symbols, sanitizer, profiler)`` to
+    replay it while recording its trace.  ``sanitize`` and ``profile``
+    mean what they do for ``Simulator.run``.  Returns the
+    :class:`RunResult` and the recorded trace (``None`` without
+    ``record``).
+    """
+    machine = Machine()
+    sanitizer = Sanitizer() if sanitize else None
+    profiler = Profiler() if profile else None
+    bind_launch(kernel, bindings, symbols, machine, sanitizer)
+    plan = plan_for()
+    trace = None
+    if record is None:
+        plan.replay(machine, symbols, sanitizer, profiler)
+    else:
+        trace = record(plan, machine, symbols, sanitizer, profiler)
+    if sanitizer is not None and sanitize != "report":
+        sanitizer.raise_if_dirty()
+    kernel_profile = None
+    if profiler is not None:
+        kernel_profile = profiler.finish(
+            kernel.name, kernel.grid_size(), kernel.block_size()
+        )
+    return RunResult(machine, sanitizer, kernel_profile), trace
+
+
 class Simulator:
     """Executes kernels functionally against an architecture's atomics.
 
@@ -139,9 +162,8 @@ class Simulator:
         bindings: Dict[str, np.ndarray],
         symbols: Optional[Dict[str, int]] = None,
         *,
-        options: Optional[RunOptions] = None,
-        sanitize=None,
-        profile=None,
+        sanitize=False,
+        profile=False,
     ) -> "RunResult":
         """Launch ``kernel`` over numpy-backed global buffers.
 
@@ -149,10 +171,6 @@ class Simulator:
         place for outputs, exactly like buffers passed to a CUDA kernel).
         Returns a :class:`RunResult` carrying the machine for
         post-mortem inspection plus any sanitizer/profiler output.
-
-        Behaviour is controlled by a :class:`~repro.sim.options.RunOptions`
-        (``options=``); the ``sanitize``/``profile`` keywords are
-        explicit per-knob overrides of it.
 
         ``sanitize=True`` attaches a race/memory sanitizer (see
         :mod:`repro.sim.sanitizer`) and raises :class:`SanitizerError`
@@ -164,25 +182,11 @@ class Simulator:
         :mod:`repro.sim.profiler`); the measured Nsight-style counters
         are returned as the result's ``profile``.
         """
-        opts = options if options is not None else RunOptions()
-        if sanitize is None:
-            sanitize = opts.sanitize
-        if profile is None:
-            profile = opts.profile
-        machine = Machine()
-        sanitizer = Sanitizer() if sanitize else None
-        profiler = Profiler() if profile else None
         symbols = dict(symbols or {})
-        bind_launch(kernel, bindings, symbols, machine, sanitizer)
-        plan = self.plan_cache.lookup(kernel, self.arch, symbols, bindings)
-        plan.replay(machine, symbols, sanitizer, profiler)
-        if sanitizer is not None and sanitize != "report":
-            sanitizer.raise_if_dirty()
-        kernel_profile = None
-        if profiler is not None:
-            kernel_profile = profiler.finish(
-                kernel.name, kernel.grid_size(), kernel.block_size()
-            )
-        return RunResult(
-            machine=machine, sanitizer=sanitizer, profile=kernel_profile
+        run, _ = observed_run(
+            kernel, bindings, symbols,
+            lambda: self.plan_cache.lookup(kernel, self.arch, symbols,
+                                           bindings),
+            sanitize=sanitize, profile=profile,
         )
+        return run

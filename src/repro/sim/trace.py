@@ -51,10 +51,9 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .errors import SimulationError
-from .interp import RunResult, bind_launch
+from .interp import RunResult, bind_launch, observed_run
 from .machine import Machine
 from .plan import LaunchPlan
-from .profiler import Profiler
 from .sanitizer import Sanitizer
 
 #: Immutable empty environment handed to runners during trace replay;
@@ -697,11 +696,12 @@ class RecordedLaunch:
     trace with the observers it asks for; the launch keeps the profile
     and the sanitizer findings (reports and suppressed count, not the
     shadow state) of every observer it has run with.  A run asking for
-    one it lacks replays the plan once with that observer, on a fresh
-    machine so the trace's block-local storage is never aliased, and
-    drops the plan.  Every other run replays the trace.  Runs overwrite
-    the bound arrays, so callers take turns.  ``record`` is the
-    function the first execution records with.
+    one it lacks replays the plan once with that observer
+    (:func:`~repro.sim.interp.observed_run`, on a fresh machine so the
+    trace's block-local storage is never aliased), and drops the plan.
+    Every other run replays the trace.  Runs overwrite the bound
+    arrays, so callers take turns.  ``record`` is the function the
+    first execution records with.
     """
 
     __slots__ = ("kernel", "arch", "arrays", "symbols", "machine", "trace",
@@ -728,7 +728,21 @@ class RecordedLaunch:
         need_sanitizer = bool(sanitize) and self.sanitizer is None
         need_profile = bool(profile) and self.profile is None
         if self.trace is None or need_sanitizer or need_profile:
-            self._execute(need_sanitizer, need_profile)
+            run, trace = observed_run(
+                self.kernel, self.arrays, self.symbols,
+                lambda: LaunchPlan(self.kernel, self.arch),
+                sanitize="report" if need_sanitizer else False,
+                profile=need_profile,
+                record=self._record if self.trace is None else None)
+            if trace is not None:
+                self.trace = trace
+            if run.sanitizer is not None:
+                # Keep the verdict, not the shadow state.
+                self.sanitizer = Sanitizer()
+                self.sanitizer.reports = run.sanitizer.reports
+                self.sanitizer.suppressed = run.sanitizer.suppressed
+            if run.profile is not None:
+                self.profile = run.profile
         else:
             self.trace.replay()
         sanitizer = self.sanitizer if sanitize else None
@@ -736,27 +750,6 @@ class RecordedLaunch:
             sanitizer.raise_if_dirty()
         return RunResult(machine=self.machine, sanitizer=sanitizer,
                          profile=self.profile if profile else None)
-
-    def _execute(self, sanitize: bool, profile: bool) -> None:
-        kernel = self.kernel
-        machine = Machine()
-        sanitizer = Sanitizer() if sanitize else None
-        profiler = Profiler() if profile else None
-        bind_launch(kernel, self.arrays, self.symbols, machine, sanitizer)
-        plan = LaunchPlan(kernel, self.arch)
-        if self.trace is None:
-            self.trace = self._record(plan, machine, self.symbols,
-                                      sanitizer, profiler)
-        else:
-            plan.replay(machine, self.symbols, sanitizer, profiler)
-        if sanitizer is not None:
-            # Keep the verdict, not the shadow state.
-            self.sanitizer = Sanitizer()
-            self.sanitizer.reports = sanitizer.reports
-            self.sanitizer.suppressed = sanitizer.suppressed
-        if profiler is not None:
-            self.profile = profiler.finish(kernel.name, kernel.grid_size(),
-                                           kernel.block_size())
 
 
 __all__ = ["PlanTrace", "RecordedLaunch", "record_trace"]

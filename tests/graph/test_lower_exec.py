@@ -19,7 +19,7 @@ from repro.graph import (
     DECODE_SCENARIO, REDUCED_NETWORKS, GraphError, lower_network, network,
 )
 from repro.graph.reference import cache_append_ref, decode_fmha_ref
-from repro.sim import RunOptions, Simulator
+from repro.sim import Simulator
 from repro.sim import plan as sim_plan
 from repro.sim.plan import LaunchPlan
 from repro.sim.profiler import Profiler
@@ -249,7 +249,7 @@ class TestProfileOncePerLowering:
         assert calls["finish"] == launches
 
         calls["finish"] = 0
-        run = net.run(options=RunOptions(sanitize=True), seed=2)
+        run = net.run(sanitize=True, seed=2)
         assert run.passed
         assert calls == {"finish": 0, "sanitized": launches}
 

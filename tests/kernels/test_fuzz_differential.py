@@ -31,7 +31,7 @@ from repro.kernels import (
 from repro.layout import Layout
 from repro.layout.linear import LinearLayoutError, to_linear
 from repro.library import funcs
-from repro.sim import RunOptions, Simulator, access
+from repro.sim import Simulator, access
 from repro.sim.sanitizer import verdict
 
 from ..layout.test_algebra import concrete_layouts
@@ -225,7 +225,7 @@ def _observe(case):
     arrays = {k: np.array(v, copy=True) for k, v in case.arrays.items()}
     run = Simulator(case.arch).run(
         case.kernel, arrays, symbols=case.symbols,
-        options=RunOptions(sanitize="report", profile=True))
+        sanitize="report", profile=True)
     return arrays, run
 
 

@@ -18,7 +18,7 @@ from repro.frontend.builder import KernelBuilder
 from repro.layout.layout import Layout
 from repro.layout.swizzle import Swizzle
 from repro.serve import CapturedGraph, GraphCache, graph_key
-from repro.sim import RunOptions, Simulator
+from repro.sim import Simulator
 from repro.sim.plan import kernel_fingerprint, plan_cache_key
 from repro.sim.sanitizer import verdict
 from repro.tensor.dtypes import FP16
@@ -99,8 +99,8 @@ class TestFingerprintDedupe:
         totals = []
         for kern in (build_copy(FLAT), build_copy(NESTED)):
             b = _bindings()
-            run = Simulator(AMPERE).run(kern, b, options=RunOptions(
-                profile=True, sanitize="report"))
+            run = Simulator(AMPERE).run(kern, b, profile=True,
+                                        sanitize="report")
             counters = {}
             for spec in run.profile.specs.values():
                 for field in (

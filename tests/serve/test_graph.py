@@ -12,7 +12,7 @@ import pytest
 
 from repro.conformance.harness import default_cases
 from repro.serve import CapturedGraph, GraphKey, graph_key
-from repro.sim import RunOptions, Simulator
+from repro.sim import Simulator
 from repro.sim.errors import SimulationError
 from repro.sim.sanitizer import verdict
 
@@ -69,7 +69,7 @@ def test_observer_replay_matches_simulator(name):
                        profile=True)
     ref = ReferenceSimulator(case.arch).run(
         case.kernel, _copies(case.arrays), symbols=case.symbols,
-        options=RunOptions(sanitize="report", profile=True))
+        sanitize="report", profile=True)
     assert verdict(run.sanitizer) == verdict(ref.sanitizer)
     assert _profile_signature(run.profile) == _profile_signature(ref.profile)
 

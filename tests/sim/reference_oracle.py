@@ -48,7 +48,6 @@ from repro.sim.access import (
 from repro.sim.errors import SimulationError
 from repro.sim.interp import RunResult, bind_launch
 from repro.sim.machine import Machine
-from repro.sim.options import RunOptions
 from repro.sim.profiler import Profiler
 from repro.sim.sanitizer import Sanitizer
 from repro.tensor.memspace import RF
@@ -556,16 +555,10 @@ class ReferenceSimulator:
         bindings: Dict[str, np.ndarray],
         symbols: Optional[Dict[str, int]] = None,
         *,
-        options: Optional[RunOptions] = None,
-        sanitize=None,
-        profile=None,
+        sanitize=False,
+        profile=False,
     ) -> RunResult:
         """Launch ``kernel`` as ``repro.sim.Simulator.run`` does."""
-        opts = options if options is not None else RunOptions()
-        if sanitize is None:
-            sanitize = opts.sanitize
-        if profile is None:
-            profile = opts.profile
         # Compiled-closure caches and view tables key on id(); scoping
         # them to one run keeps a recycled id from a garbage-collected kernel from
         # resurrecting a stale closure (ids are unique only among live

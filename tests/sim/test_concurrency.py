@@ -15,7 +15,7 @@ from repro.arch import architecture
 from repro.conformance.harness import default_cases
 from repro.kernels.config import NaiveGemmConfig
 from repro.kernels.gemm import build
-from repro.sim import RunOptions, Simulator, strip_barriers
+from repro.sim import Simulator, strip_barriers
 from repro.sim.sanitizer import verdict
 
 ARCH = architecture("ampere")
@@ -95,11 +95,11 @@ def test_concurrent_profiled_runs_match_a_solo_run(profile):
     rng = np.random.default_rng(2)
     problem = _problem(rng)
     solo = sim.run(kernel, {k: v.copy() for k, v in problem.items()},
-                   options=RunOptions(profile=True)).profile
+                   profile=True).profile
 
     def launch(_):
         run = sim.run(kernel, {k: v.copy() for k, v in problem.items()},
-                      options=RunOptions(profile=profile))
+                      profile=profile)
         return run.profile
 
     with ThreadPoolExecutor(max_workers=8) as pool:
@@ -119,12 +119,11 @@ def test_concurrent_sanitized_runs_match_a_solo_run(mutant):
     (case,) = [c for c in default_cases() if c.name == "gemm_ampere"]
     kernel = strip_barriers(case.kernel) if mutant else case.kernel
     sim = Simulator(case.arch)
-    options = RunOptions(sanitize="report")
 
     def launch(_=None):
         run = sim.run(kernel, {k: np.array(v, copy=True)
                                for k, v in case.arrays.items()},
-                      symbols=case.symbols, options=options)
+                      symbols=case.symbols, sanitize="report")
         return verdict(run.sanitizer)
 
     solo = launch()

@@ -27,7 +27,7 @@ from repro.kernels import (
 from repro.library import funcs
 from repro.library.problems import draw
 from repro.sim import (
-    LaunchPlan, PlanCache, RunOptions, SimulationError, Simulator,
+    LaunchPlan, PlanCache, SimulationError, Simulator,
     kernel_fingerprint, plan_cache_key, strip_barriers,
 )
 from repro.sim.profiler import SpecCounters
@@ -65,7 +65,7 @@ def _run_engine(case: Case, simulator, sanitize="report"):
     arrays = {k: v.copy() for k, v in case.arrays.items()}
     result = simulator(case.arch).run(
         case.kernel, arrays, symbols=case.symbols,
-        options=RunOptions(sanitize=sanitize, profile=True),
+        sanitize=sanitize, profile=True,
     )
     return (
         {k: v.tobytes() for k, v in arrays.items()},

@@ -120,7 +120,7 @@ class TestRunResultApi:
     def test_machine_delegation_removed(self):
         kernel = build(NaiveGemmConfig(32, 32, 32, (2, 2), (4, 4)))
         result = Simulator(AMPERE).run(kernel, _bindings(kernel))
-        with pytest.raises(AttributeError, match="result.machine.shared_bytes"):
+        with pytest.raises(AttributeError):
             result.shared_bytes(0)
 
     def test_unknown_attribute_raises(self):

@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.arch import AMPERE
 from repro.kernels import ParametricGemmConfig, build
-from repro.sim import RunOptions, Simulator, interp
+from repro.sim import Simulator, interp
 from repro.sim import profiler as sim_profiler
 from repro.sim.profiler import Profiler
 
@@ -117,7 +117,7 @@ def _charge_launch(monkeypatch, max_events):
               "B": (rng.random((32, 32)) - 0.5).astype(np.float16),
               "C": np.zeros((16, 32), dtype=np.float16)}
     result = Simulator(AMPERE).run(kernel, arrays, symbols={"M": 16},
-                                   options=RunOptions(profile=True))
+                                   profile=True)
     (profiler,) = profilers
     return profiler, _observed(profiler, result.profile)
 

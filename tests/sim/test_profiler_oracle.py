@@ -22,9 +22,8 @@ from repro.arch import architecture
 from repro.conformance.harness import default_cases
 from repro.serve.graph import CapturedGraph
 from repro.serve.workload import serve_catalog
-from repro.sim import RunOptions, Simulator
+from repro.sim import Simulator
 from repro.sim import interp
-from repro.sim import trace as sim_trace
 from repro.sim.profiler import Profiler
 from repro.tensor import GL, RF, SH
 
@@ -317,7 +316,7 @@ def _teed_run(monkeypatch, kernel, arrays, symbols, arch,
     tees = _teed(monkeypatch, interp, reference_oracle)
     simulator(arch).run(
         kernel, {k: np.array(v, copy=True) for k, v in arrays.items()},
-        symbols=symbols, options=RunOptions(profile=True))
+        symbols=symbols, profile=True)
     (tee,) = tees
     tee.assert_agree(f"{kernel.name} ({simulator.__name__})")
     return tee
@@ -362,7 +361,7 @@ def test_serve_catalog_replay_matches_oracle(monkeypatch, family):
     bindings = family.make_bindings(np.random.default_rng(0))
     graph = CapturedGraph.capture(family.kernel, family.arch,
                                   family.symbols, bindings)
-    tees = _teed(monkeypatch, sim_trace)
+    tees = _teed(monkeypatch, interp)
     graph.replay(bindings, profile=True)
     (tee,) = tees
     tee.assert_agree(family.name)

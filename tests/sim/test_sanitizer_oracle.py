@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.conformance.harness import default_cases
 from repro.ir.stmt import Barrier, walk
-from repro.sim import RunOptions, SimulationError, Simulator, strip_barriers
+from repro.sim import SimulationError, Simulator, strip_barriers
 from repro.sim import interp
 from repro.sim.sanitizer import Sanitizer, verdict
 from repro.tensor import GL, RF, SH
@@ -338,7 +338,7 @@ def _teed_run(monkeypatch, kernel, arrays, symbols, arch,
     try:
         simulator(arch).run(
             kernel, {k: np.array(v, copy=True) for k, v in arrays.items()},
-            symbols=symbols, options=RunOptions(sanitize="report"))
+            symbols=symbols, sanitize="report")
     except SimulationError:
         # A stripped TMA kernel never drains its bulk copies; the hooks
         # fed up to that point must still agree.

@@ -8,6 +8,7 @@ workload, so any future shim has to be introduced deliberately.
 """
 
 import importlib
+import inspect
 import pathlib
 import pkgutil
 import re
@@ -36,7 +37,7 @@ class TestNoDeprecationWarnings:
     def test_representative_workload(self):
         from repro.arch import AMPERE
         from repro.kernels import NaiveGemmConfig, build
-        from repro.sim import RunOptions, Simulator
+        from repro.sim import Simulator
 
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
@@ -49,10 +50,6 @@ class TestNoDeprecationWarnings:
                 "C": np.zeros((16, 16), np.float16),
             }
             sim = Simulator(AMPERE)
-            # Both the options object and the explicit keywords.
-            result = sim.run(kernel, arrays,
-                             options=RunOptions(sanitize=True, profile=True))
-            assert result.profile is not None
             result = sim.run(kernel, arrays, sanitize=True, profile=True)
             assert result.profile is not None
 
@@ -150,7 +147,7 @@ class TestRetiredSurface:
             "C": np.zeros((16, 16), np.float16),
         }
         result = Simulator(AMPERE).run(kernel, arrays)
-        with pytest.raises(AttributeError, match=r"result\.machine\."):
+        with pytest.raises(AttributeError):
             result.shared_bytes
 
 
@@ -158,20 +155,46 @@ class TestOneEngine:
     """The plan engine is the only engine: the per-lane reference
     interpreter lives with the tests, and no option selects it."""
 
-    def test_run_options_fields(self):
-        from dataclasses import fields
+    def test_run_options_gone(self):
+        import repro.sim
 
-        from repro.sim import RunOptions
+        assert "RunOptions" not in repro.sim.__all__
+        assert not hasattr(repro.sim, "RunOptions")
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.sim.options")
 
-        assert [f.name for f in fields(RunOptions)] == ["sanitize", "profile"]
+    def test_observer_keywords(self):
+        """Observers are asked for by keyword only, and only these."""
+        from repro.conformance.harness import run_all, run_case
+        from repro.graph import Network
+        from repro.graph.executor import execute
+        from repro.serve import CapturedGraph, KernelServer
+        from repro.sim import Simulator
+
+        observers = {"sanitize", "profile"}
+        for entry, want in [
+            (Simulator.run, {"sanitize": False, "profile": False}),
+            (CapturedGraph.capture, {"sanitize": False, "profile": False}),
+            (CapturedGraph.replay, {"sanitize": None, "profile": None}),
+            (KernelServer, {"sanitize": False, "profile": False}),
+            (Network.run, {"sanitize": False}),
+            (execute, {"sanitize": False}),
+            (run_case, {}),
+            (run_all, {}),
+        ]:
+            params = inspect.signature(entry).parameters
+            assert "options" not in params, entry
+            got = {name: p.default for name, p in params.items()
+                   if name in observers}
+            assert got == want, entry
+            assert all(params[name].kind is inspect.Parameter.KEYWORD_ONLY
+                       for name in got), entry
 
     def test_engine_keyword_rejected(self):
         from repro.arch import AMPERE
         from repro.kernels import NaiveGemmConfig, build
-        from repro.sim import RunOptions, Simulator
+        from repro.sim import Simulator
 
-        with pytest.raises(TypeError):
-            RunOptions(engine="reference")
         kernel = build(NaiveGemmConfig(16, 16, 16, grid=(2, 2),
                                        threads=(2, 2)))
         arrays = {name: np.zeros((16, 16), np.float16)
