@@ -24,7 +24,11 @@ each launch once as a :class:`~repro.sim.trace.RecordedLaunch`.  The
 first execution of a lowering runs each launch's plan with the profiler
 attached, records its :class:`~repro.sim.trace.PlanTrace` straight
 over the arena in that same run, and keeps the launch's roofline
-seconds from the held profile.  Every later run is copy-in → one trace
+seconds from the held profile.  When a launch's blocks provably
+translate block 0 (every grid>1 launch of the benchmark's roster does),
+only block 0 goes through the plan and the profiler; blocks 1..N run
+from its trace and are charged as block 0
+(:func:`~repro.sim.trace.record_trace`).  Every later run is copy-in → one trace
 replay per launch → group checks → copy-out: no plan walk, no launch
 binding, no profiler.  Each group's result carries its launches' held
 profiles, and with ``sanitize`` set their held sanitizer findings; the

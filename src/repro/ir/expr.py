@@ -428,6 +428,46 @@ def mod(lhs: IntLike, rhs: IntLike) -> IntExpr:
     return Mod(lhs, rhs)
 
 
+def additive_part(expr: IntExpr, name: str,
+                  fixed: frozenset = frozenset()) -> Optional[IntExpr]:
+    """The part ``g`` of ``expr`` that carries variable ``name``, or None.
+
+    ``expr - g`` does not depend on ``name``, and ``g`` mentions only
+    ``name`` and the names in ``fixed``.  An expression of only those is
+    all ``g``, one without ``name`` is all rest.  Otherwise the split
+    distributes over ``+`` and ``-``, over ``*`` by a factor of
+    ``fixed`` names and constants only, and over ``/`` and ``%`` by a
+    constant ``d`` only when ``g`` is a multiple of ``d`` (then ``(g +
+    r) / d = g / d + r / d`` and ``(g + r) % d = r % d``).  Anything
+    else is None.  The result is built without bounds-based
+    simplification, so it evaluates exactly.
+    """
+    names = expr.free_vars()
+    if name not in names:
+        return Const(0)
+    if names <= fixed | {name}:
+        return expr
+    if isinstance(expr, (Add, Sub)):
+        lhs = additive_part(expr.lhs, name, fixed)
+        rhs = additive_part(expr.rhs, name, fixed)
+        if lhs is None or rhs is None:
+            return None
+        return add(lhs, rhs) if isinstance(expr, Add) else sub(lhs, rhs)
+    if isinstance(expr, Mul):
+        for part, factor in ((expr.lhs, expr.rhs), (expr.rhs, expr.lhs)):
+            if factor.free_vars() <= fixed:
+                g = additive_part(part, name, fixed)
+                return None if g is None else mul(g, factor)
+        return None
+    if isinstance(expr, (FloorDiv, Mod)) and isinstance(expr.rhs, Const):
+        g = additive_part(expr.lhs, name, fixed)
+        if g is None or _multiple_of(g) % expr.rhs.value:
+            return None
+        return FloorDiv(g, expr.rhs) if isinstance(expr, FloorDiv) \
+            else Const(0)
+    return None
+
+
 def as_expr(value: IntLike) -> IntExpr:
     """Coerce an int or IntExpr to an IntExpr."""
     return _wrap(value)

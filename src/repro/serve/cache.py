@@ -8,7 +8,8 @@ graph-cache health read identically in metrics output.
 
 Capture is expensive; the cache keeps one in-flight capture per key
 (per-key locks), so a thundering herd of same-signature requests does
-exactly one capture while distinct signatures capture concurrently.
+exactly one capture while distinct signatures capture concurrently.  A
+key's lock lives only while some caller holds or waits on it.
 """
 
 from __future__ import annotations
@@ -33,7 +34,9 @@ class GraphCache:
         self.stats = CacheStats()
         self._lock = threading.Lock()
         self._entries: "OrderedDict[GraphKey, CapturedGraph]" = OrderedDict()
-        self._capture_locks: Dict[GraphKey, threading.Lock] = {}
+        #: Per key being captured: its lock and how many callers hold
+        #: or wait on it.
+        self._capture_locks: Dict[GraphKey, list] = {}
 
     @property
     def resident_bytes(self) -> int:
@@ -62,21 +65,28 @@ class GraphCache:
         if graph is not None:
             return graph, True
         with self._lock:
-            capture_lock = self._capture_locks.setdefault(
-                key, threading.Lock())
-        with capture_lock:
-            # A racing caller may have finished the capture while this
-            # one waited on the key lock.
+            entry = self._capture_locks.setdefault(
+                key, [threading.Lock(), 0])
+            entry[1] += 1
+        try:
+            with entry[0]:
+                # A racing caller may have finished the capture while
+                # this one waited on the key lock.
+                with self._lock:
+                    graph = self._entries.get(key)
+                    if graph is not None:
+                        # Not counted as a fresh hit: the miss above
+                        # already recorded this caller's lookup outcome.
+                        self._entries.move_to_end(key)
+                        return graph, True
+                graph = factory()
+                self.put(key, graph)
+                return graph, False
+        finally:
             with self._lock:
-                graph = self._entries.get(key)
-                if graph is not None:
-                    # Not counted as a fresh hit: the miss above already
-                    # recorded this caller's lookup outcome.
-                    self._entries.move_to_end(key)
-                    return graph, True
-            graph = factory()
-            self.put(key, graph)
-            return graph, False
+                entry[1] -= 1
+                if not entry[1]:
+                    del self._capture_locks[key]
 
     def put(self, key: GraphKey, graph: CapturedGraph) -> None:
         with self._lock:
@@ -96,7 +106,6 @@ class GraphCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-            self._capture_locks.clear()
 
     def __len__(self) -> int:
         with self._lock:

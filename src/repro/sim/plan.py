@@ -49,12 +49,13 @@ import numpy as np
 from ..arch import fragments as frag
 from ..arch import ptx
 from ..arch.hopper import SPARSE24_DECOMPRESS, TMA_G2S
+from ..ir.expr import additive_part
 from ..ir.stmt import Barrier, Block, Comment, ForLoop, If, SpecStmt
 from ..layout import inttuple as it
 from ..layout.linear import LinearLayoutError, to_linear
 from ..specs.atomic import match_atomic
 from ..specs.base import Allocate, Init, Move
-from ..tensor.memspace import RF, SH
+from ..tensor.memspace import GL, RF, SH
 from ..tensor.tensor import Tensor, Tile
 from .access import (
     compile_expr, guard_coords, relative_offsets, tile_views,
@@ -66,13 +67,19 @@ from .errors import SimulationError
 VIEW_CACHE_ENTRIES = 512
 
 
-def _compile_view(tensor) -> tuple:
+#: The variable a block-translation proof is about.
+BLOCK = "blockIdx.x"
+
+
+def _compile_view(tensor, fixed: frozenset) -> tuple:
     """The lane-independent part of a view's plan.
 
-    ``(base, rel, guards, key_vars)``: the base-offset closure, the
-    offset table, one ``(origin, extent, coords)`` triple per guarded
-    dimension, and the free variables other than ``threadIdx.x`` that
-    the view's index arrays depend on.
+    ``(base, rel, guards, key_vars, moves)``: the base-offset closure,
+    the offset table, one ``(origin, extent, coords)`` triple per
+    guarded dimension, the free variables other than ``threadIdx.x``
+    that the view's index arrays depend on, and the view half of the
+    block-translation proof (:func:`_block_part`; ``fixed`` names the
+    launch symbols).
     """
     if isinstance(tensor.element, Tile):
         raise TypeError(f"cannot enumerate the elements of tiled tensor "
@@ -80,15 +87,42 @@ def _compile_view(tensor) -> tuple:
     rel = relative_offsets(tensor.layout)
     names = set(tensor.offset.free_vars())
     guards = []
+    guarded = set()
     for dim, guard in enumerate(tensor.guards or ()):
         if guard is not None:
-            names |= guard.origin.free_vars() | guard.extent.free_vars()
+            guarded |= guard.origin.free_vars() | guard.extent.free_vars()
             guards.append((compile_expr(guard.origin),
                            compile_expr(guard.extent),
                            guard_coords(tensor.layout.shape, dim)))
+    names |= guarded
     names.discard("threadIdx.x")
+    moves = None if BLOCK in guarded else _block_part(tensor, fixed)
     return (compile_expr(tensor.offset), rel, tuple(guards),
-            tuple(sorted(names)))
+            tuple(sorted(names)), moves)
+
+
+def _block_part(tensor, fixed: frozenset):
+    """How ``tensor``'s view moves from block to block, or None.
+
+    The compiled part ``g`` of the view's offset that carries
+    ``blockIdx.x`` (:func:`repro.ir.expr.additive_part`): block ``b``'s
+    offsets are then block 0's moved by ``g(b) - g(0)`` elements.  A view
+    that does not mention ``blockIdx.x`` has ``g = 0``.  None when no
+    such ``g`` is provable: a shared or register view mentions
+    ``blockIdx.x``, or a global one that does is swizzled or its offset
+    does not split.
+    """
+    if BLOCK not in tensor.offset.free_vars():
+        return _still
+    if tensor.mem != GL or not tensor.swizzle.is_identity():
+        return None
+    part = additive_part(tensor.offset, BLOCK, fixed)
+    return None if part is None else compile_expr(part)
+
+
+def _still(env):
+    """The block part of a view that does not mention ``blockIdx.x``."""
+    return 0
 
 
 class ViewTable(dict):
@@ -97,14 +131,19 @@ class ViewTable(dict):
     Each entry holds its tensor, so no key can be recycled while the
     table lives, and the table lives exactly as long as its plan.
     Threads racing on a first use build equal values; the last store
-    wins.
+    wins.  ``fixed`` names the kernel's launch symbols.
     """
+
+    def __init__(self, fixed: frozenset):
+        super().__init__()
+        self.fixed = fixed
 
     def compiled(self, tensor) -> tuple:
         """``tensor``'s lane-independent view plan, built on first use."""
         entry = self.get(id(tensor))
         if entry is None or entry[0] is not tensor:
-            entry = self[id(tensor)] = (tensor, _compile_view(tensor))
+            entry = self[id(tensor)] = (tensor,
+                                        _compile_view(tensor, self.fixed))
         return entry[1]
 
 
@@ -117,11 +156,13 @@ class ViewPlan:
     Results are cached keyed on the values of the view's free variables
     other than ``threadIdx.x`` — an empty key means the view is fully
     loop- and block-invariant and is computed exactly once per plan.
+    ``moves`` is the view's compiled block part (:func:`_block_part`),
+    None when the view is not provably a translation across blocks.
     """
 
     __slots__ = (
         "tensor", "is_sh", "is_rf", "lane_arr", "_base", "_rel",
-        "_swizzle", "_guards", "_key_vars", "_cache",
+        "_swizzle", "_guards", "_key_vars", "moves", "_cache",
     )
 
     def __init__(self, tensor, lanes, compiled):
@@ -130,7 +171,8 @@ class ViewPlan:
         self.is_rf = tensor.mem == RF
         self.lane_arr = np.asarray(lanes, dtype=np.int64)
         self.lane_arr.setflags(write=False)
-        self._base, self._rel, self._guards, self._key_vars = compiled
+        self._base, self._rel, self._guards, self._key_vars, self.moves = \
+            compiled
         sw = tensor.swizzle
         self._swizzle = None if sw.is_identity() else sw
         self._cache: Dict[tuple, tuple] = {}
@@ -915,7 +957,7 @@ class _Replay:
         keep = mask_sel.any(axis=1)
         if not keep.any():
             if self._trace is not None:
-                self._trace.on_write_skip()
+                self._trace.on_write_skip(vp)
             return None
         if not keep.all():
             rows = rows[keep]
@@ -1111,16 +1153,25 @@ class CacheStats:
 
 # -- the launch plan and its cache ---------------------------------------------
 class LaunchPlan:
-    """A kernel's decomposition tree compiled for vectorized replay."""
+    """A kernel's decomposition tree compiled for vectorized replay.
 
-    __slots__ = ("kernel", "arch", "nthreads", "grid_size", "views", "root")
+    ``shared_control`` is the control-flow half of the block-translation
+    proof: no loop bound and no ``If`` predicate mentions ``blockIdx.x``,
+    so every block takes block 0's loop trips and branches and activates
+    its rows.  Each view carries the other half
+    (:attr:`ViewPlan.moves`).
+    """
+
+    __slots__ = ("kernel", "arch", "nthreads", "grid_size", "views", "root",
+                 "shared_control")
 
     def __init__(self, kernel, arch):
         self.kernel = kernel
         self.arch = arch
         self.nthreads = kernel.block_size()
         self.grid_size = kernel.grid_size()
-        self.views = ViewTable()
+        self.views = ViewTable(frozenset(v.name for v in kernel.symbols))
+        self.shared_control = True
         self.root = self._compile_block(kernel.body)
 
     def __reduce__(self):
@@ -1143,6 +1194,7 @@ class LaunchPlan:
         if isinstance(stmt, Block):
             return self._compile_block(stmt)
         if isinstance(stmt, ForLoop):
+            self._control(stmt.start, stmt.stop, stmt.step)
             return _Loop(
                 compile_expr(stmt.start), compile_expr(stmt.stop),
                 compile_expr(stmt.step), stmt.var.name,
@@ -1151,6 +1203,7 @@ class LaunchPlan:
         if isinstance(stmt, If):
             uniform, varying = [], []
             for a, b in stmt.predicates:
+                self._control(a, b)
                 pair = (compile_expr(a), compile_expr(b))
                 if "threadIdx.x" in (a.free_vars() | b.free_vars()):
                     varying.append(pair)
@@ -1168,6 +1221,10 @@ class LaunchPlan:
             return self._compile_spec(stmt.spec)
         raise SimulationError(f"cannot execute statement {stmt!r}")
 
+    def _control(self, *exprs) -> None:
+        if any(BLOCK in e.free_vars() for e in exprs):
+            self.shared_control = False
+
     def _compile_spec(self, spec):
         if isinstance(spec, Allocate):
             return None  # handled during launch
@@ -1177,21 +1234,22 @@ class LaunchPlan:
 
     # -- replay ----------------------------------------------------------------
     def replay(self, machine, symbols, sanitizer, profiler,
-               recorder=None) -> None:
+               recorder=None, blocks=None) -> None:
         """Run the plan over the grid, one block after another.
 
         ``recorder`` (a :mod:`repro.sim.trace` recorder) sees every
         resolved leaf execution and the end of every block, and takes
         the block's staged register files as they are: a recorded run
-        leaves no per-thread registers in ``machine``.
+        leaves no per-thread registers in ``machine``.  ``blocks`` (a
+        range, default the whole grid) runs only those blocks.
         """
-        for bid in range(self.grid_size):
+        for bid in range(self.grid_size) if blocks is None else blocks:
             if sanitizer is not None:
                 sanitizer.begin_block(bid)
             if profiler is not None:
                 profiler.begin_block(bid)
             env = dict(symbols)
-            env["blockIdx.x"] = bid
+            env[BLOCK] = bid
             run = _Replay(self, machine, sanitizer, profiler, bid)
             run._trace = recorder
             self.root.execute(run, env, ())

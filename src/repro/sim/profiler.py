@@ -640,11 +640,12 @@ class Profiler:
     Lifecycle (driven by the plan replay, :mod:`repro.sim.plan`):
     ``begin_block`` per thread-block, then per atomic-spec lane-group
     execution ``begin_exec`` / :meth:`record_rows` calls / ``end_exec``;
-    ``barrier`` at sync statements; finally ``finish`` returns the
-    profile.  The hooks only buffer: ``end_exec`` charges every
-    buffered execution together once the buffer reaches
-    :data:`FLUSH_ELEMENTS`, and ``finish`` charges the rest, so all of
-    the profiler's numpy work runs inside those two methods.
+    ``barrier`` at sync statements; :meth:`repeat_block` when blocks
+    1..N are copies of block 0; finally ``finish`` returns the profile.
+    The hooks only buffer: ``end_exec`` charges every buffered execution
+    together once the buffer reaches :data:`FLUSH_ELEMENTS`, and
+    ``finish`` charges the rest and any repeated blocks, so all of the
+    profiler's work runs inside those two methods.
     """
 
     def __init__(self, max_events: int = 100_000):
@@ -665,6 +666,10 @@ class Profiler:
         #: per execution and ``(block, label, -1)`` per barrier.
         self._stream: List[tuple] = []
         self._buffered = 0
+        #: Block 0's charged timeline, ``(label, duration)`` in order.
+        self._first: List[tuple] = []
+        #: Blocks charged as copies of block 0 at :meth:`finish`.
+        self._repeats: Sequence[int] = ()
 
     # -- lifecycle hooks ----------------------------------------------------
     def begin_block(self, block_id: int) -> None:
@@ -706,9 +711,22 @@ class Profiler:
         if self._buffered >= FLUSH_ELEMENTS:
             self._flush()
 
+    def repeat_block(self, block_ids: Sequence[int]) -> None:
+        """Charge each of ``block_ids`` as block 0 at :meth:`finish`.
+
+        For a launch whose only profiled block is block 0 and whose other
+        blocks provably access what it accesses, moved by whole 32-byte
+        sectors (:func:`repro.sim.trace.record_trace`): each adds block
+        0's per-label counters and barriers, and replays its timeline
+        under its own block id.
+        """
+        self._repeats = block_ids
+
     def finish(self, kernel_name: str, grid_size: int,
                block_size: int) -> KernelProfile:
         self._flush()
+        if self._repeats:
+            self._charge_repeats()
         profile = KernelProfile(kernel_name, grid_size, block_size)
         profile.specs = self._specs
         profile.barriers = self._barriers
@@ -727,9 +745,25 @@ class Profiler:
         transactions = []
         if execs:
             transactions = self._charge_batch(rows, execs)[1].tolist()
+        first = self._first
         for block, label, e in stream:
-            self._advance(block, label,
-                          1 if e < 0 else max(1, transactions[e]))
+            duration = 1 if e < 0 else max(1, transactions[e])
+            if not block:
+                first.append((label, duration))
+            self._advance(block, label, duration)
+
+    def _charge_repeats(self) -> None:
+        """Charge every repeated block as block 0, in block order."""
+        times = 1 + len(self._repeats)
+        for c in self._specs.values():
+            for name in _COLUMNS + ("shared_load_bank_conflicts",
+                                    "shared_store_bank_conflicts"):
+                setattr(c, name, getattr(c, name) * times)
+        for scope in self._barriers:
+            self._barriers[scope] *= times
+        for block in self._repeats:
+            for label, duration in self._first:
+                self._advance(block, label, duration)
 
     def _charge_batch(self, rows, execs):
         """Charge buffered executions together; return each one's

@@ -24,12 +24,26 @@ A Graphene kernel fixes its decomposition at compile time, so the
 blocks of a launch are usually *translations* of block 0: the same
 leaves, rows, masks and block-local indices, and global indices that
 are block 0's plus one constant per access (the block bits are just
-more input bits of the layout).  The recorder checks that block by
-block and stores block 0's leaves once, with every index, mask and row
-array interned by content, plus a ``(blocks, slots)`` table of int64
-start offsets: global slots are keyed by buffer and offset column, so
-all accesses of a buffer that move together share one slot.  A block
-that fails the check keeps explicit leaves of its own.
+more input bits of the layout).  A trace stores block 0's leaves once,
+with every index, mask and row array interned by content, plus a
+``(blocks, slots)`` table of int64 start offsets: global slots are
+keyed by buffer and offset column, so all accesses of a buffer that
+move together share one slot.
+
+When it can, :func:`record_trace` proves the translation statically
+and never interprets blocks 1..N: no loop bound or predicate mentions
+``blockIdx.x`` (:attr:`~repro.sim.plan.LaunchPlan.shared_control`), no
+guard and no shared or register view does, and every global view's
+offset splits as ``g(blockIdx, symbols) + rest``
+(:func:`repro.ir.expr.additive_part`) with non-negative shifts
+``g(b) - g(0)`` (:func:`_proven_shifts`).  Block 0 then runs through
+the plan, the offset table comes from the proven shifts, and blocks
+1..N run from the trace just recorded; a profiler charges each of
+them as block 0, which is exact because the proof also asks every
+shift to move whole 32-byte sectors when profiling.  Otherwise, and
+always under a sanitizer, every block runs through the plan and the
+recorder checks block by block; a block that fails that check keeps
+explicit leaves of its own.
 
 Replay runs block by block: zero the block-local storage, shift each
 global slot to the block's offset (a view, no index arithmetic), then
@@ -51,9 +65,10 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .errors import SimulationError
-from .interp import RunResult, bind_launch, observed_run
+from .interp import RunResult, observed_run
 from .machine import Machine
-from .plan import LaunchPlan
+from .plan import BLOCK, LaunchPlan
+from .profiler import GLOBAL_SECTOR_BYTES
 from .sanitizer import Sanitizer
 
 #: Immutable empty environment handed to runners during trace replay;
@@ -200,7 +215,6 @@ class _Leaf:
 #: mask, keep, sel_shape)``; ``offs`` is the array that moves with the
 #: block for a global access.
 _READ, _ZERO, _WRITE, _MASKED, _SKIP = range(5)
-_SKIP_RAW = (_SKIP, None, None, None, None, None, None)
 
 
 def _space(vp) -> str:
@@ -356,7 +370,7 @@ class _TraceRecorder:
         if keep is not None:
             keep = intern(keep)
         raw = (kind, vp, lanes, offs, mask, keep, sel_shape)
-        if not (local or kind == _ZERO):
+        if not (local or kind in (_ZERO, _SKIP)):
             self._moved = True
         else:
             # Block-local ops repeat exactly, so equal ones share one
@@ -381,8 +395,8 @@ class _TraceRecorder:
         self._add(_MASKED, vp, lane_mat, flat_offs, mask_sel,
                   None if keep.all() else keep, offs_sel.shape)
 
-    def on_write_skip(self) -> None:
-        self._ops.append(_SKIP_RAW)
+    def on_write_skip(self, vp) -> None:
+        self._add(_SKIP, vp, None, None, None)
 
     def end_block(self, run) -> None:
         """Close the block ``run`` just executed."""
@@ -402,6 +416,11 @@ class _TraceRecorder:
         shifts = self._match(leaves, local)
         self._blocks.append(shifts if shifts is not None
                             else (leaves, local))
+
+    @property
+    def template(self) -> List[_Leaf]:
+        """Block 0's leaves, as recorded."""
+        return self._template[0]
 
     def _match(self, leaves, local) -> Optional[List[int]]:
         """The block's global shifts, or None if it is no translation."""
@@ -429,18 +448,26 @@ class _TraceRecorder:
         return shifts
 
     # -- building the trace ------------------------------------------------------
-    def finish(self) -> "PlanTrace":
+    def finish(self, columns=None) -> "PlanTrace":
+        """Build the trace of the blocks recorded, or, given the
+        ``(blocks, accesses)`` shifts :func:`_proven_shifts` proved for
+        block 0's global accesses, of every block as block 0 moved by
+        its row."""
         for sp in self._specs:
             sp.clear_view_caches()
-        nblocks = len(self._blocks)
         t_leaves, t_local = self._template
         # One offset column per global access of the template.
         names = [op[1].tensor.buffer for leaf in t_leaves for op in leaf.ops
                  if _moves(op)]
-        columns = np.zeros((nblocks, len(names)), dtype=np.int64)
-        for bid, block in enumerate(self._blocks):
-            if isinstance(block, list) and block:
-                columns[bid] = block
+        if columns is None:
+            columns = np.zeros((len(self._blocks), len(names)),
+                               dtype=np.int64)
+            for bid, block in enumerate(self._blocks):
+                if isinstance(block, list) and block:
+                    columns[bid] = block
+        else:
+            self._blocks += [[]] * (len(columns) - len(self._blocks))
+        nblocks = len(self._blocks)
         slots: Dict[tuple, int] = {}
         arrays: List[np.ndarray] = []
         offsets: List[np.ndarray] = []
@@ -636,17 +663,19 @@ class PlanTrace:
         #: global arrays belong to whoever bound them).
         self.nbytes = interned_nbytes + sum(local.values()) + offsets.nbytes
 
-    def replay(self) -> None:
+    def replay(self, blocks=None) -> None:
         """Re-execute the recorded leaves over the current storage.
 
         Global arrays are read/written in place (a captured graph's
         copy-in or a network arena's load refreshed them); trace-owned
         shared/register storage is zeroed before each block, exactly
-        like a fresh launch.
+        like a fresh launch.  ``blocks`` (a range, default every block)
+        replays only those blocks.
         """
         run = _TraceReplay()
         arrays = self.arrays
-        for bid, (leaves, local) in enumerate(self.blocks):
+        for bid in range(len(self.blocks)) if blocks is None else blocks:
+            leaves, local = self.blocks[bid]
             for arr in local:
                 arr.fill(0)
             if bid:
@@ -667,22 +696,79 @@ class PlanTrace:
                     )
 
 
+def _proven_shifts(leaves, grid_size, symbols, profiled):
+    """Each block's shift of every global access in block 0's
+    ``leaves``, as a ``(blocks, accesses)`` table, or None.
+
+    The view half of the block-translation proof, for a plan whose
+    blocks share block 0's control flow
+    (:attr:`~repro.sim.plan.LaunchPlan.shared_control`): every access's
+    view must carry a block part ``g``
+    (:attr:`~repro.sim.plan.ViewPlan.moves`), and each global shift
+    ``g(b) - g(0)`` must be non-negative.  When ``profiled``, each shift
+    must also move its access by whole 32-byte sectors, so that every
+    block's sectors, wavefronts and durations are block 0's.
+    """
+    env = dict(symbols)
+    env[BLOCK] = np.arange(grid_size)
+    shifts: Dict[int, np.ndarray] = {}
+    columns = []
+    for leaf in leaves:
+        for op in leaf.ops:
+            vp = op[1]
+            if vp.moves is None:
+                return None
+            if not _moves(op):
+                continue
+            column = shifts.get(id(vp))
+            if column is None:
+                part = np.broadcast_to(
+                    np.asarray(vp.moves(env), dtype=np.int64), (grid_size,))
+                column = shifts[id(vp)] = part - part[0]
+                if (column < 0).any() or (profiled and (
+                        column * vp.tensor.dtype.bytes
+                        % GLOBAL_SECTOR_BYTES).any()):
+                    return None
+            columns.append(column)
+    if not columns:
+        return np.zeros((grid_size, 0), dtype=np.int64)
+    return np.stack(columns, axis=1)
+
+
 def record_trace(plan, machine, symbols, sanitizer=None,
                  profiler=None) -> PlanTrace:
-    """Replay ``plan`` once over ``machine`` and record it as a trace.
+    """Execute ``plan`` once over ``machine`` and record it as a trace.
 
     This is a real execution (global buffer contents are consumed and
     overwritten), with any observers attached exactly as in
     :meth:`~repro.sim.plan.LaunchPlan.replay`, so a profiled or
-    sanitized first run records at no extra execution.  The machine
-    must come fresh from launch binding: pre-existing block-scoped state
-    would alias into the trace's storage, which takes each block's
-    register files (the machine gets no per-thread registers).
-    Recording empties the plan's view caches: the trace holds every
-    array it reads.
+    sanitized first run records at no extra execution.  Without a
+    sanitizer, block 0 goes through the plan first; when the blocks
+    provably translate it (:func:`_proven_shifts`), blocks 1..N run
+    from the trace just recorded and the profiler charges each of them
+    as block 0 (:meth:`~repro.sim.profiler.Profiler.repeat_block`).
+    Otherwise, and always with a sanitizer (cross-block conflicts need
+    every block's accesses), every block goes through the plan.  The
+    machine must come fresh from launch binding: pre-existing
+    block-scoped state would alias into the trace's storage, which
+    takes each block's register files (the machine gets no per-thread
+    registers).  Recording empties the plan's view caches: the trace
+    holds every array it reads.
     """
     recorder = _TraceRecorder()
-    plan.replay(machine, symbols, sanitizer, profiler, recorder)
+    blocks = range(plan.grid_size)
+    if sanitizer is None and plan.shared_control and len(blocks) > 1:
+        plan.replay(machine, symbols, None, profiler, recorder, blocks[:1])
+        columns = _proven_shifts(recorder.template, plan.grid_size, symbols,
+                                 profiler is not None)
+        if columns is not None:
+            trace = recorder.finish(columns)
+            trace.replay(blocks[1:])
+            if profiler is not None:
+                profiler.repeat_block(blocks[1:])
+            return trace
+        blocks = blocks[1:]
+    plan.replay(machine, symbols, sanitizer, profiler, recorder, blocks)
     return recorder.finish()
 
 
@@ -713,9 +799,9 @@ class RecordedLaunch:
         self.arch = arch
         self.arrays = arrays
         self.symbols = dict(symbols or {})
-        #: The arrays bound as global buffers, for results; never run on.
-        self.machine = Machine()
-        bind_launch(kernel, arrays, self.symbols, self.machine)
+        #: The first execution's machine, for results: its global
+        #: buffers are ``arrays``.
+        self.machine: Optional[Machine] = None
         self.trace: Optional[PlanTrace] = None
         self.sanitizer: Optional[Sanitizer] = None
         self.profile = None
@@ -736,6 +822,7 @@ class RecordedLaunch:
                 record=self._record if self.trace is None else None)
             if trace is not None:
                 self.trace = trace
+                self.machine = run.machine
             if run.sanitizer is not None:
                 # Keep the verdict, not the shadow state.
                 self.sanitizer = Sanitizer()

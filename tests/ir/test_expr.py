@@ -1,11 +1,11 @@
 """Unit and property tests for symbolic integer expressions."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.ir.expr import (
-    Add, Const, FloorDiv, Mod, Mul, Var, add, as_expr, div, is_const, mod,
-    mul, sub,
+    Add, Const, FloorDiv, Mod, Mul, Var, add, additive_part, as_expr, div,
+    is_const, mod, mul, sub,
 )
 
 
@@ -175,6 +175,40 @@ class TestCoercion:
         assert not is_const(Var("x"))
 
 
+class TestAdditivePart:
+    """``additive_part(e, "b", {"M"})``: the part of ``e`` carrying
+    ``b``, when ``e - g`` provably does not depend on ``b``."""
+
+    b, t, m = Var("b"), Var("t"), Var("M")
+
+    def part(self, expr):
+        return additive_part(expr, "b", frozenset({"M"}))
+
+    def test_distributes_over_add_and_sub(self):
+        assert self.part(self.b * 64 + self.t) == self.b * 64
+        assert self.part(Add(self.t, self.b) - self.b * 2) == \
+            sub(self.b, self.b * 2)
+
+    def test_block_and_symbol_terms_are_all_block_part(self):
+        expr = self.b % 2 * 128 + self.m
+        assert self.part(expr) == expr
+        assert self.part(self.t * 4) == Const(0)
+
+    def test_mul_by_symbols_and_constants_only(self):
+        assert self.part(Mul(Add(self.b, self.t), self.m)) == \
+            mul(self.b, self.m)
+        assert self.part(Mul(Add(self.b, self.t), self.t)) is None
+
+    def test_div_and_mod_need_a_multiple(self):
+        offset = Add(Mul(self.b, Const(64)), self.t)
+        assert self.part(FloorDiv(offset, Const(32))) == \
+            FloorDiv(mul(self.b, 64), Const(32))
+        assert self.part(Mod(offset, Const(32))) == Const(0)
+        assert self.part(FloorDiv(offset, Const(128))) is None
+        assert self.part(Mod(offset, Const(128))) is None
+        assert self.part(FloorDiv(offset, self.m)) is None
+
+
 # -- property tests -----------------------------------------------------------
 
 _small = st.integers(min_value=0, max_value=100)
@@ -225,3 +259,43 @@ def test_bounds_contain_value(expr, t, b, k):
     assert value >= lo
     if hi is not None:
         assert value <= hi
+
+
+_divisors = st.sampled_from([1, 2, 3, 4, 8, 16, 32, 64])
+
+
+@st.composite
+def offsets(draw, depth=0):
+    """Random offset-like trees over a block index ``b``, a launch
+    symbol ``M``, a thread index ``t`` and a loop index ``k``."""
+    if depth > 3 or draw(st.booleans()):
+        leaf = draw(st.sampled_from(["b", "bc", "M", "t", "k", "c"]))
+        if leaf == "bc":
+            return mul(Var("b"), draw(_divisors) * draw(_divisors))
+        if leaf == "c":
+            return Const(draw(_small))
+        return Var(leaf)
+    op = draw(st.sampled_from(["add", "sub", "mul", "div", "mod"]))
+    lhs = draw(offsets(depth=depth + 1))
+    if op in ("div", "mod"):
+        divisor = draw(_divisors)
+        return FloorDiv(lhs, Const(divisor)) if op == "div" \
+            else Mod(lhs, Const(divisor))
+    rhs = draw(offsets(depth=depth + 1))
+    return {"add": Add, "sub": sub, "mul": Mul}[op](lhs, rhs)
+
+
+@settings(max_examples=300)
+@given(offsets(), st.lists(_small, min_size=2, max_size=6), _small, _small,
+       _small)
+def test_additive_part_leaves_a_block_invariant_rest(expr, blocks, m, t, k):
+    """Wherever the split returns ``g``, ``expr - g`` evaluates the same
+    at every sampled ``b`` for fixed other variables, and ``g`` mentions
+    only ``b`` and the launch symbol."""
+    g = additive_part(expr, "b", frozenset({"M"}))
+    if g is None:
+        return
+    assert g.free_vars() <= {"b", "M"}
+    rests = {expr.evaluate(env) - g.evaluate(env)
+             for env in ({"b": b, "M": m, "t": t, "k": k} for b in blocks)}
+    assert len(rests) == 1

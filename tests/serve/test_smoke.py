@@ -5,6 +5,10 @@ whole serve suite); everything here sticks to one small kernel so the
 file stays well under the five-second budget.
 """
 
+import threading
+import time
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -95,3 +99,38 @@ def test_graph_cache_evicts_under_budget():
     assert cache.get(graphs[1][0]) is graphs[1][1]
     assert cache.stats.hits == 1
     assert cache.stats.misses == 0
+
+
+def test_capture_locks_live_only_while_used():
+    """A key's capture lock goes once no caller holds or waits on it,
+    so many signatures under a 1-byte budget leave no lock behind,
+    while a herd of same-key callers still captures once."""
+    cache = GraphCache(budget_bytes=1)
+    captures = {}
+
+    def factory(key, delay=0.0):
+        def capture():
+            captures[key] = captures.get(key, 0) + 1
+            time.sleep(delay)
+            return SimpleNamespace(nbytes=8)
+        return capture
+
+    for i in range(200):
+        cache.get_or_capture(("signature", i), factory(("signature", i)))
+    assert cache.stats.evictions == 199
+    assert cache._capture_locks == {}
+
+    key = ("signature", "herd")
+    results = []
+    threads = [threading.Thread(target=lambda: results.append(
+        cache.get_or_capture(key, factory(key, delay=0.05))))
+        for _ in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
+    assert captures[key] == 1
+    assert len({id(graph) for graph, _ in results}) == 1
+    assert sorted(hit for _, hit in results) == [False] + [True] * 7
+    assert cache._capture_locks == {}
